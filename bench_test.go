@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	gatherings "repro"
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/crowd"
@@ -291,7 +292,7 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 	}
 }
 
-// ---- streaming engine: sharded ingest and query -----------------------------
+// ---- streaming engine: ingest and query ------------------------------------
 
 // benchEnginePipeline matches benchCrowdParams/benchGatherParams so the
 // engine benches are comparable with the Fig. 8 incremental ones.
@@ -305,7 +306,7 @@ func benchEnginePipeline() core.Config {
 }
 
 // benchEngineBatches slices the dense bench workload (large snapshot
-// clusters, the regime where sharding pays) into 12-tick batches.
+// clusters, so DBSCAN dominates) into 12-tick batches.
 func benchEngineBatches() []*trajectory.DB {
 	benchSetup()
 	return denseDB.Batches(12)
@@ -330,87 +331,33 @@ func BenchmarkEngineIngestStoreBaseline(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineIngestShards1(b *testing.B) { benchEngineIngest(b, 1, engine.ObjectHash{}) }
-func BenchmarkEngineIngestShards2(b *testing.B) { benchEngineIngest(b, 2, engine.ObjectHash{}) }
-func BenchmarkEngineIngestShards4(b *testing.B) { benchEngineIngest(b, 4, engine.ObjectHash{}) }
-func BenchmarkEngineIngestShards8(b *testing.B) { benchEngineIngest(b, 8, engine.ObjectHash{}) }
-
-// The grid variants measure spatial sharding without replication (halo 0,
-// lossy at cell boundaries) against the recall-preserving halo runs, at
-// every shard count — the halo-on/halo-off gap is the price of parity.
-// BENCH_ingest.json records this matrix.
-func BenchmarkEngineIngestShards1Grid(b *testing.B) { benchEngineIngestGrid(b, 1, 0) }
-func BenchmarkEngineIngestShards2Grid(b *testing.B) { benchEngineIngestGrid(b, 2, 0) }
-func BenchmarkEngineIngestShards4Grid(b *testing.B) { benchEngineIngestGrid(b, 4, 0) }
-func BenchmarkEngineIngestShards8Grid(b *testing.B) { benchEngineIngestGrid(b, 8, 0) }
-
-func BenchmarkEngineIngestShards1GridHalo(b *testing.B) { benchEngineIngestGrid(b, 1, 1200) }
-func BenchmarkEngineIngestShards2GridHalo(b *testing.B) { benchEngineIngestGrid(b, 2, 1200) }
-func BenchmarkEngineIngestShards4GridHalo(b *testing.B) { benchEngineIngestGrid(b, 4, 1200) }
-func BenchmarkEngineIngestShards8GridHalo(b *testing.B) { benchEngineIngestGrid(b, 8, 1200) }
-
-func benchEngineIngestGrid(b *testing.B, shards int, halo float64) {
-	benchEngineIngest(b, shards, engine.GridCell{CellSize: 3000, Halo: halo})
-}
-
-// benchEngineIngest measures wall-clock ingest of the whole batch stream.
-// The object-hash variants give even shard load, so the measured speed-up
-// is the sharding/concurrency win, not placement luck. Replication volume
-// is reported as clusters/op (snapshot clusters built), objrep/op (object
-// replica deliveries) and clrep/op (cluster-view replica deliveries).
-func benchEngineIngest(b *testing.B, shards int, part engine.Partitioner) {
+// BenchmarkEngineIngest measures wall-clock ingest of the whole batch
+// stream through the default engine (build parallelism GOMAXPROCS); run it
+// with -cpu 1,2,4 for the scaling curve. clusters/op reports the snapshot
+// clusters built.
+func BenchmarkEngineIngest(b *testing.B) {
 	batches := benchEngineBatches()
-	var clusters, objRep, clRep uint64
+	var clusters uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := engine.New(engine.Config{
-			Pipeline:    benchEnginePipeline(),
-			Shards:      shards,
-			Workers:     shards,
-			Partitioner: part,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := newBenchEngine(b)
 		for _, batch := range batches {
 			if err := eng.Append(batch); err != nil {
 				b.Fatal(err)
 			}
 		}
 		eng.Flush()
-		cs := eng.Counters().Snapshot()
-		clusters += cs.ClustersBuilt
-		objRep += cs.ObjectsReplicated
-		clRep += cs.ClustersReplicated
+		clusters += eng.Counters().Snapshot().ClustersBuilt
 		eng.Close()
 	}
 	b.ReportMetric(float64(clusters)/float64(b.N), "clusters/op")
-	b.ReportMetric(float64(objRep)/float64(b.N), "objrep/op")
-	b.ReportMetric(float64(clRep)/float64(b.N), "clrep/op")
 }
 
 // BenchmarkEngineQuerySnapshot measures query latency against a loaded
 // engine, with concurrent readers sharing it (b.RunParallel).
 func BenchmarkEngineQuerySnapshot(b *testing.B) {
-	benchEngineQuery(b, engine.GridCell{CellSize: 3000})
-}
-
-// BenchmarkEngineQuerySnapshotHalo includes the snapshot-time cross-shard
-// merge (dedup + stitching) that halo replication requires.
-func BenchmarkEngineQuerySnapshotHalo(b *testing.B) {
-	benchEngineQuery(b, engine.GridCell{CellSize: 3000, Halo: 1200})
-}
-
-func benchEngineQuery(b *testing.B, part engine.Partitioner) {
 	batches := benchEngineBatches()
-	eng, err := engine.New(engine.Config{
-		Pipeline:    benchEnginePipeline(),
-		Shards:      4,
-		Partitioner: part,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := newBenchEngine(b)
 	defer eng.Close()
 	for _, batch := range batches {
 		if err := eng.Append(batch); err != nil {
@@ -432,6 +379,17 @@ func benchEngineQuery(b *testing.B, part engine.Partitioner) {
 			i++
 		}
 	})
+}
+
+// newBenchEngine returns the default engine over the bench pipeline.
+func newBenchEngine(b *testing.B) *engine.Engine {
+	cfg := gatherings.DefaultEngineConfig()
+	cfg.Pipeline = benchEnginePipeline()
+	eng, err := gatherings.NewEngine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
 }
 
 // ---- ablations (DESIGN.md §5) ----------------------------------------------

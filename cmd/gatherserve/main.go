@@ -5,8 +5,7 @@
 // Usage:
 //
 //	gatherserve -in traj.csv [-ticks 288] [-step 1] [-batch 24] [-interval 0]
-//	            [-shards 0] [-workers 0] [-queue 0]
-//	            [-partition grid] [-cell 3000] [-halo 1200]
+//	            [-workers 0] [-queue 0]
 //	            [-eps 200] [-minpts 5] [-mc 15] [-kc 20] [-delta 300]
 //	            [-kp 15] [-mp 10] [-searcher grid]
 //	            [-watermark 8] [-checkpoint state.ckpt] [-wal state.wal]
@@ -18,12 +17,9 @@
 //	            [-addr :8080] [-oneshot] [-pprof]
 //
 // The CSV is replayed in batches of -batch ticks, one every -interval
-// (immediately when zero), through the engine's bounded ingest queue.
-// With the default grid partitioner and a positive -halo, each batch is
-// DBSCAN-clustered once globally and the shards receive routed cluster
-// views (see internal/engine), so recall-preserving sharding costs a few
-// tens of percent of ingest throughput rather than a re-clustering per
-// replica.
+// (immediately when zero), through the engine's bounded ingest queue of
+// -queue batches into one incremental store; each batch's snapshot
+// clusters are built by -workers goroutines (see internal/engine).
 //
 // Every batch passes the watermark admission stage (internal/engine/admit)
 // before the engine: out-of-order batches within -watermark are
@@ -32,10 +28,10 @@
 // so the tick domain stays aligned. With -checkpoint and/or -wal the
 // admitted stream is made durable: each batch is appended to the
 // write-ahead log before it is applied, and every -checkpoint-every
-// batches the per-shard incremental state is checkpointed and the log
-// truncated. A killed server restores the checkpoint, replays the log,
-// and resumes with an identical gathering set — re-delivered batches from
-// the restarted feed are classified as duplicates and dropped. While
+// batches the incremental state is checkpointed and the log truncated.
+// A killed server restores the checkpoint, replays the log, and resumes
+// with an identical gathering set — re-delivered batches from the
+// restarted feed are classified as duplicates and dropped. While
 // ingestion runs, the server answers:
 //
 //	GET /gatherings?from=0&to=100&bbox=minx,miny,maxx,maxy&limit=50
@@ -44,7 +40,13 @@
 //	GET /stats        ingest/query/resilience counters and the tick frontier
 //	GET /healthz      liveness
 //	GET /readyz       readiness: 503 until checkpoint restore and WAL
-//	                  replay finish, 200 once the engine serves live state
+//	                  replay finish, 200 once the engine serves live state,
+//	                  and 503 again if an apply panic quarantines the store
+//
+// A quarantined store answers no queries and writes no checkpoints
+// (/stats shows "quarantined: true"; a cluster member's local-state
+// read answers 503, so queries list it as unreachable); recovery is a
+// restart, which restores the last checkpoint and replays the WAL.
 //
 // With -cluster map.json -node <id> the server runs as one member of a
 // multi-node cluster (internal/cluster): the membership map assigns grid
@@ -115,12 +117,8 @@ func main() {
 		batch    = flag.Int("batch", 24, "ticks per ingest batch")
 		interval = flag.Duration("interval", 0, "delay between batches (0 = replay at full speed)")
 
-		shards    = flag.Int("shards", 0, "engine shards (0 = one per CPU)")
-		workers   = flag.Int("workers", 0, "ingest workers (0 = one per shard)")
-		queue     = flag.Int("queue", 0, "ingest queue depth in shard tasks (0 = 4×shards)")
-		partition = flag.String("partition", "grid", "shard routing: grid (spatial cell) or hash (object ID)")
-		cell      = flag.Float64("cell", 0, "grid partition cell size in metres (0 = 10×delta)")
-		halo      = flag.Float64("halo", -1, "grid partition halo margin in metres: each batch is clustered once globally and boundary clusters are shared as views with adjacent shards, with duplicates merged at query time (-1 = 4×delta, 0 = no replication)")
+		workers = flag.Int("workers", 0, "snapshot-cluster build parallelism per batch (0 = one per CPU)")
+		queue   = flag.Int("queue", 0, "ingest queue depth in batches (0 = 4)")
 
 		eps      = flag.Float64("eps", 200, "DBSCAN epsilon (metres)")
 		minpts   = flag.Int("minpts", 5, "DBSCAN density threshold m")
@@ -132,7 +130,7 @@ func main() {
 		searcher = flag.String("searcher", "grid", "range search scheme: brute, sr, ir or grid")
 
 		watermark = flag.Int("watermark", admit.DefaultWatermark, "admission reorder window in batches: out-of-order batches within it are re-sequenced, beyond it dropped and counted")
-		ckptPath  = flag.String("checkpoint", "", "checkpoint file: per-shard incremental state saved every -checkpoint-every batches and restored on startup (empty = no checkpoints)")
+		ckptPath  = flag.String("checkpoint", "", "checkpoint file: incremental state saved every -checkpoint-every batches and restored on startup (empty = no checkpoints)")
 		walPath   = flag.String("wal", "", "write-ahead log file: admitted batches logged before apply and replayed after a crash (empty = no WAL)")
 		ckptEvery = flag.Int("checkpoint-every", 16, "admitted batches between checkpoints; 0 checkpoints only on clean shutdown")
 		walSync   = flag.String("wal-sync", "always", "WAL durability point: always (fsync per append), checkpoint (fsync only at checkpoints and close), off (the OS decides) — see docs/INVARIANTS.md")
@@ -204,35 +202,13 @@ func main() {
 	cfg.Pipeline.MC, cfg.Pipeline.KC, cfg.Pipeline.Delta = *mc, *kc, *delta
 	cfg.Pipeline.KP, cfg.Pipeline.MP = *kp, *mp
 	cfg.Pipeline.Searcher = *searcher
-	// Zero flag values keep DefaultEngineConfig's resolution (one shard
-	// and worker per CPU, queue of 4×shards).
-	if *shards > 0 {
-		cfg.Shards = *shards
-	}
+	// Zero flag values keep DefaultEngineConfig's resolution (one build
+	// worker per CPU, queue of 4 batches).
 	if *workers > 0 {
 		cfg.Workers = *workers
 	}
 	if *queue > 0 {
 		cfg.QueueDepth = *queue
-	}
-	cellSize := *cell
-	if cellSize == 0 {
-		cellSize = 10 * *delta
-	}
-	haloSize := *halo
-	switch {
-	case haloSize == -1:
-		haloSize = 4 * *delta
-	case haloSize < 0:
-		fatal(fmt.Errorf("-halo must be ≥ 0 (or -1 for the 4×delta default), got %v", haloSize))
-	}
-	switch *partition {
-	case "grid":
-		cfg.Partitioner = gatherings.GridCellPartitioner{CellSize: cellSize, Halo: haloSize}
-	case "hash":
-		cfg.Partitioner = gatherings.ObjectHashPartitioner{}
-	default:
-		fatal(fmt.Errorf("unknown partition scheme %q", *partition))
 	}
 
 	eng, err := gatherings.NewEngine(cfg)
@@ -408,9 +384,7 @@ func main() {
 			clCounters.Snapshot().Fprint(w)
 			fmt.Fprintf(w, "peer breakers:       %s\n", strings.Join(clNode.BreakerStates(), " "))
 		}
-		if q := eng.Quarantined(); len(q) > 0 {
-			fmt.Fprintf(w, "quarantined shards:  %v\n", q)
-		}
+		fmt.Fprintf(w, "quarantined:         %v\n", eng.Quarantined())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if clNode != nil && clNode.Degraded() {
@@ -425,13 +399,7 @@ func main() {
 		mux.HandleFunc(rpc.ForwardPath, clNode.HandleForward)
 		mux.HandleFunc(rpc.LocalPath, clNode.HandleLocal)
 	}
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !ready.Load() {
-			http.Error(w, "recovering: checkpoint restore / WAL replay in progress", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("/readyz", readyz(&ready, eng))
 	if *pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -457,7 +425,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe() }()
 
-	log.Printf("serving on %s (%d shards, %q partitioner)", *addr, cfg.Shards, *partition)
+	log.Printf("serving on %s (%d build workers)", *addr, cfg.Workers)
 	select {
 	case err := <-serveErr:
 		fatal(err)
@@ -485,6 +453,23 @@ func main() {
 	eng.Flush()
 	eng.Close()
 	log.Printf("shutdown complete: %d ticks applied", eng.Ticks())
+}
+
+// readyz answers 503 until checkpoint restore and WAL replay finish, and
+// again once an apply panic has quarantined the engine's store: its
+// answers are no longer trusted, and recovery is a restart.
+func readyz(ready *atomic.Bool, eng *gatherings.Engine) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !ready.Load() {
+			http.Error(w, "recovering: checkpoint restore / WAL replay in progress", http.StatusServiceUnavailable)
+			return
+		}
+		if eng.Quarantined() {
+			http.Error(w, "quarantined: an apply panicked; restart to restore from checkpoint and WAL", http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprintln(w, "ok")
+	}
 }
 
 // applyEmits logs and applies the admission stage's released batches, in

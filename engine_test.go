@@ -14,9 +14,7 @@ func TestEnginePublicAPI(t *testing.T) {
 
 	cfg := gatherings.DefaultEngineConfig()
 	cfg.Pipeline = testConfig()
-	cfg.Shards = 2
 	cfg.Workers = 2
-	cfg.Partitioner = gatherings.GridCellPartitioner{CellSize: 10 * cfg.Pipeline.Delta}
 	eng, err := gatherings.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

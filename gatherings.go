@@ -23,9 +23,9 @@
 // For streaming arrivals, use Store: it keeps the saved candidate state of
 // §III-C and extends crowds and gatherings incrementally as batches are
 // appended. For concurrent serving — many writers and readers at once —
-// use Engine, which shards the incremental state, ingests batches through
-// a bounded worker pool, and answers snapshot queries filtered by time
-// window and bounding box.
+// use Engine, which puts the incremental state behind a lock, ingests
+// batches through a bounded queue, and answers snapshot queries filtered
+// by time window and bounding box.
 package gatherings
 
 import (
@@ -119,7 +119,7 @@ func NewCrowd(start Tick, clusters []*Cluster) *Crowd {
 //
 // A Store is not safe for concurrent use: it is the single-goroutine
 // facade over the incremental pipeline. For concurrent ingest and
-// queries use engine.Engine, which owns the shard lock guarding the
+// queries use engine.Engine, which owns the store lock guarding the
 // underlying state.
 type Store struct {
 	cfg   Config
@@ -147,11 +147,11 @@ func NewStore(cfg Config) (*Store, error) {
 // batch.Domain.N ticks and brings crowds and gatherings up to date.
 func (s *Store) Append(batch *DB) {
 	cdb := core.BuildCDB(batch, s.cfg)
-	s.inner.Append(cdb) //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds shard
+	s.inner.Append(cdb) //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds the store lock
 }
 
 // AppendCDB ingests a pre-clustered batch.
-func (s *Store) AppendCDB(batch *CDB) { s.inner.Append(batch) } //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds shard
+func (s *Store) AppendCDB(batch *CDB) { s.inner.Append(batch) } //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds the store lock
 
 // Ticks returns the number of ticks ingested so far.
 func (s *Store) Ticks() int { return s.inner.Ticks() }
@@ -159,12 +159,12 @@ func (s *Store) Ticks() int { return s.inner.Ticks() }
 // Crowds returns the current closed crowds. The slice is shared with the
 // store and valid until the next Append; copy it to retain it across
 // appends. (Crowds themselves are immutable.)
-func (s *Store) Crowds() []*Crowd { return s.inner.Crowds() } //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds shard
+func (s *Store) Crowds() []*Crowd { return s.inner.Crowds() } //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds the store lock
 
 // Gatherings returns the closed gatherings per closed crowd, parallel to
 // Crowds. Like Crowds, the top-level slice is shared with the store and
 // valid until the next Append.
-func (s *Store) Gatherings() [][]*Gathering { return s.inner.Gatherings() } //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds shard
+func (s *Store) Gatherings() [][]*Gathering { return s.inner.Gatherings() } //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds the store lock
 
 // AllGatherings returns every current closed gathering.
 func (s *Store) AllGatherings() []*Gathering { return s.inner.FlatGatherings() }
@@ -172,7 +172,7 @@ func (s *Store) AllGatherings() []*Gathering { return s.inner.FlatGatherings() }
 // Save serialises the store's incremental state (cluster database, closed
 // crowds, gatherings and the resumable candidate set) so discovery can
 // continue in a later process via LoadStore.
-func (s *Store) Save(w io.Writer) error { return s.inner.Save(w) } //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds shard
+func (s *Store) Save(w io.Writer) error { return s.inner.Save(w) } //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds the store lock
 
 // LoadStore restores a store saved with Save. The configuration supplies
 // the searcher; the thresholds are restored from the snapshot itself.
@@ -180,7 +180,7 @@ func LoadStore(r io.Reader, cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	inner, err := incremental.Load(r, cfg.SearcherFactory()) //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds shard
+	inner, err := incremental.Load(r, cfg.SearcherFactory()) //lint:allow racecheck the facade Store is single-goroutine by contract; the concurrent path is engine.Engine, which holds the store lock
 	if err != nil {
 		return nil, err
 	}

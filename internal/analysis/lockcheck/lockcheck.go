@@ -1,8 +1,9 @@
 // Package lockcheck flags blocking operations performed while a
 // sync.Mutex or sync.RWMutex is held.
 //
-// The engine's shards serialise state behind per-shard RWMutexes; the
-// ingest path backpressures through a bounded channel. Holding a shard
+// The engine serialises its store behind an RWMutex, and the ingest path
+// backpressures: Engine.Append parks while the queue is full, and the
+// cluster node feeds its ingest loop through a bounded channel. Holding a
 // lock across a channel send (or any call annotated //gather:blocking,
 // such as Engine.Append) couples the lock's critical section to the
 // consumer's progress — the classic shape of the ingest/query deadlock.

@@ -3,18 +3,17 @@
 // each ingest batch's sub-batches to their owner nodes over the forwarding
 // data plane (internal/cluster/rpc), and a scatter-gather read path that
 // fans snapshot queries across the membership and reduces the answers with
-// the engine's snapshot merge — degrading to a partial result instead of an
-// error when a peer is dead, slow, or breaker-open.
+// a dedup-and-stitch merge (merge.go) — degrading to a partial result
+// instead of an error when a peer is dead, slow, or breaker-open.
 //
-// The ownership model is the engine's grid-cell sharding lifted to node
-// granularity. Space is cut into CellSize×CellSize cells; a cell hashes to
+// The ownership model is grid-cell routing at node granularity. Space is
+// cut into CellSize×CellSize cells; a cell hashes to
 // one of Slots ownership slots, and the map assigns every slot to exactly
 // one node. An object is ingested by the node owning the cell of its
 // position at the batch start, and — with a positive Halo — replicated to
 // every node owning a cell within Halo of any of its positions during the
 // batch, so each node sees the complete neighbourhood of its own cells and
-// the read-side merge can collapse the duplicate boundary discoveries
-// (exactly PR 3's halo semantics, one level up).
+// the read-side merge can collapse the duplicate boundary discoveries.
 //
 // The map is versioned: every data-plane request carries the sender's map
 // version and a receiver with a different version refuses it, so a cluster
@@ -52,15 +51,14 @@ type Map struct {
 	// Version identifies this ownership assignment; nodes reject
 	// data-plane requests carrying a different version.
 	Version int `json:"version"`
-	// CellSize is the ownership cell side in metres, the node-granularity
-	// analogue of the engine partitioner's cell (a few × the expected
+	// CellSize is the ownership cell side in metres (a few × the expected
 	// gathering diameter).
 	CellSize float64 `json:"cellSize"`
 	// Halo is the cross-node replication margin in metres. Objects within
 	// Halo of a cell owned by another node are forwarded there too, so
 	// groups straddling node boundaries are discovered whole on each side
 	// and deduplicated by the scatter-gather merge. Zero disables
-	// replication (lossy at node boundaries, like a zero-halo partitioner).
+	// replication (lossy at node boundaries).
 	Halo float64 `json:"halo"`
 	// Slots is the number of ownership slots cells hash onto. More slots
 	// than nodes lets ownership move in small pieces when the map is
@@ -163,8 +161,8 @@ func (m *Map) Index(id NodeID) int {
 	return -1
 }
 
-// splitmix is the splitmix64 finaliser — the same mixer the engine's
-// partitioner uses, so cell→slot routing is equally well spread.
+// splitmix is the splitmix64 finaliser, which spreads cell coordinates and
+// object IDs evenly over the ownership slots.
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -193,9 +191,7 @@ func (m *Map) OwnerIndex(p geo.Point) int {
 
 // homeNode routes one trajectory to its owning node: the cell of its
 // position at the batch start, falling back to the first sample and then
-// to an ID hash for trajectories with no usable position (mirroring
-// engine.GridCell.Shard, so the two layers route degenerate inputs the
-// same way).
+// to an ID hash for trajectories with no usable position.
 func (m *Map) homeNode(tr *trajectory.Trajectory, domain trajectory.TimeDomain) int {
 	p, ok := tr.LocationAt(domain.Start)
 	if !ok {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster/rpc"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -154,7 +155,9 @@ type clusterHarness struct {
 	servers []*httptest.Server
 }
 
-func newClusterHarness(t *testing.T, pipe core.Config, haloFactor float64) *clusterHarness {
+// faults, when given, are the members' engine ApplyFault plans, by node
+// index.
+func newClusterHarness(t *testing.T, pipe core.Config, haloFactor float64, faults ...func(seq uint64)) *clusterHarness {
 	t.Helper()
 	h := &clusterHarness{m: testMap(3000, haloFactor*pipe.Delta)}
 
@@ -168,11 +171,11 @@ func newClusterHarness(t *testing.T, pipe core.Config, haloFactor float64) *clus
 	}
 
 	for i, member := range h.m.Nodes {
-		eng, err := engine.New(engine.Config{
-			Pipeline:    pipe,
-			Shards:      2,
-			Partitioner: engine.GridCell{CellSize: 3000, Halo: 4 * pipe.Delta},
-		})
+		cfg := engine.Config{Pipeline: pipe, Workers: 2}
+		if i < len(faults) {
+			cfg.ApplyFault = faults[i]
+		}
+		eng, err := engine.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +265,7 @@ func TestClusterParity(t *testing.T) {
 	db := gen.Generate(cfg)
 	batches := db.Batches(12)
 
-	single, err := engine.New(engine.Config{Pipeline: pipe, Shards: 1})
+	single, err := engine.New(engine.Config{Pipeline: pipe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,5 +334,59 @@ func TestClusterDegradedRead(t *testing.T) {
 	}
 	if c := h.nodes[0].counters; c.QueriesPartial.Load() != 1 {
 		t.Fatalf("QueriesPartial = %d, want 1", c.QueriesPartial.Load())
+	}
+}
+
+// TestClusterQuarantinedMember: a member whose apply panicked answers its
+// local-state read with 503, so every coordinator — itself included —
+// reports it unreachable instead of merging its empty snapshot as a
+// complete answer.
+func TestClusterQuarantinedMember(t *testing.T) {
+	pipe := core.Config{
+		Eps: 200, MinPts: 5,
+		MC: 8, KC: 8, Delta: 300,
+		KP: 6, MP: 6,
+		Searcher: "grid",
+	}
+	cfg := gen.Default()
+	cfg.NumTaxis = 150
+	cfg.TicksPerDay = 48
+	cfg.Seed = 5
+	db := gen.Generate(cfg)
+
+	h := newClusterHarness(t, pipe, 8, nil, chaos.FaultAt(1))
+	h.feed(t, db.Batches(12))
+	if !h.engines[1].Quarantined() {
+		t.Fatal("node b's engine is not quarantined after the injected fault")
+	}
+
+	req, err := http.NewRequest(http.MethodGet, h.servers[1].URL+rpc.LocalPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(rpc.HeaderMapVersion, fmt.Sprint(h.m.Version))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("quarantined node's local read answered %s, want 503", resp.Status)
+	}
+
+	for _, coord := range []int{0, 1} {
+		res, meta := h.nodes[coord].Query(context.Background(), engine.Query{})
+		if len(meta.Unreachable) != 1 || meta.Unreachable[0] != "b" {
+			t.Fatalf("coordinator %s: Unreachable = %v, want [b]", h.m.Nodes[coord].ID, meta.Unreachable)
+		}
+		if res == nil {
+			t.Fatalf("coordinator %s: partial query returned no result", h.m.Nodes[coord].ID)
+		}
+		if meta.Ticks != db.Domain.N {
+			t.Errorf("coordinator %s: Ticks = %d, want %d from the healthy members", h.m.Nodes[coord].ID, meta.Ticks, db.Domain.N)
+		}
+		if got := h.nodes[coord].counters.QueriesPartial.Load(); got != 1 {
+			t.Errorf("coordinator %s: QueriesPartial = %d, want 1", h.m.Nodes[coord].ID, got)
+		}
 	}
 }

@@ -1,37 +1,30 @@
-// Cross-shard merge: the query-time counterpart of halo replication.
+// Scatter-gather merge: the read-side counterpart of halo replication.
 //
-// With a MultiShardPartitioner, an object near a cell edge is ingested by
-// every shard owning a nearby cell, so a group straddling the boundary is
-// discovered independently — and redundantly — by each of them. mergeShards
-// restores single-store semantics over the union of the per-shard answers:
+// With a positive map Halo, an object near a node boundary is forwarded to
+// every node owning a nearby cell, so a group straddling the boundary is
+// discovered independently — and redundantly — by each of them. merge
+// restores single-store semantics over the union of the nodes' answers:
 //
 //  1. Exact duplicates (same span, same per-tick membership) collapse to
-//     one copy, kept by the canonical owner — the shard owning the cell of
-//     the crowd's first cluster centroid (lowest shard index when the owner
+//     one copy, kept by the canonical owner — the node owning the cell of
+//     the crowd's first cluster centroid (first answer when the owner
 //     holds no copy).
 //  2. Partial views — a crowd whose every cluster is contained in another
-//     shard's view of the same ticks — are absorbed: the halo gave some
-//     shard a complete picture, the cropped one adds nothing.
+//     node's view of the same ticks — are absorbed: the halo gave some
+//     node a complete picture, the cropped one adds nothing.
 //  3. Fragments that overlap but don't contain each other (a moving crowd
-//     seen entering by one shard and leaving by another) are stitched
+//     seen entering by one node and leaving by another) are stitched
 //     pairwise: their per-tick clusters are unioned into one crowd and
 //     gathering detection reruns on the result.
 //
-// Within one shard, Algorithm 1 never emits a crowd contained in another
+// Within one node, Algorithm 1 never emits a crowd contained in another
 // (a contained candidate would still have been extendable), and distinct
 // branched crowds share equal-or-disjoint clusters per tick, so absorption
-// and stitching — which require proper overlap — only ever fuse cross-shard
+// and stitching — which require proper overlap — only ever fuse cross-node
 // copies of the same underlying crowd, never two genuinely distinct ones.
-//
-// Under the cluster-once ingest pipeline (ClusterRouter partitioners, the
-// default), the shards' crowds are built from views of the same global
-// *snapshot.Cluster values, so cross-shard copies of one crowd hold
-// pointer-identical clusters at every shared tick: duplicates are exact,
-// absorption reduces to a tick-range crop, and the set comparisons below
-// short-circuit on pointer equality instead of walking member lists. The
-// element-wise paths remain for the legacy fan-out (replicated raw
-// trajectories clustered per shard), where copies are equal by value only.
-package engine
+// Cross-node copies are equal by value, not by pointer (each node
+// clusters its own replicas), so the set comparisons walk member lists.
+package cluster
 
 import (
 	"sort"
@@ -39,36 +32,40 @@ import (
 	"strings"
 
 	"repro/internal/crowd"
+	"repro/internal/engine"
 	"repro/internal/gathering"
 	"repro/internal/geo"
 	"repro/internal/snapshot"
 	"repro/internal/trajectory"
 )
 
-// shardCrowd is one closed crowd as observed by one shard.
-type shardCrowd struct {
-	shard   int
+// entry is one closed crowd as answered by one node.
+type entry struct {
+	node    int // index in the membership map
 	crowd   *crowd.Crowd
 	gathers []*gathering.Gathering
 }
 
-// mergeStats reports what a merge pass did, for the engine counters.
-type mergeStats struct {
-	deduped  int // duplicate or absorbed copies dropped
-	stitched int // fragments fused into cross-shard crowds
-}
-
-// mergeShards deduplicates and stitches the per-shard crowd lists. owner
-// maps a point to its owning shard (the canonical-owner rule); gp are the
+// merge deduplicates and stitches the nodes' answers into the
+// single-store crowd set and sorts it with engine.CompareCrowds, the order
+// Snapshot uses, so Limit truncation agrees with a single store's. owner
+// maps a point to its owning node (the canonical-owner rule); gp are the
 // gathering thresholds used to re-detect gatherings on stitched crowds.
 // Entries are modified in place and the surviving list is returned.
-func mergeShards(entries []shardCrowd, owner func(geo.Point) int, gp gathering.Params) ([]shardCrowd, mergeStats) {
-	var st mergeStats
-	if len(entries) < 2 {
-		return entries, st
+func merge(entries []entry, owner func(geo.Point) int, gp gathering.Params) []entry {
+	if len(entries) > 1 {
+		entries = stitch(dedup(entries, owner), owner, gp)
 	}
+	sort.Slice(entries, func(i, j int) bool {
+		return engine.CompareCrowds(entries[i].crowd, entries[j].crowd) < 0
+	})
+	return entries
+}
 
-	// Stage 1: collapse exact duplicates onto the canonical owner.
+// dedup runs stages 1 and 2: exact duplicates collapse onto the canonical
+// owner's copy, then partial views are absorbed into a containing copy
+// from another node.
+func dedup(entries []entry, owner func(geo.Point) int) []entry {
 	bySig := make(map[string][]int, len(entries))
 	order := make([]string, 0, len(entries))
 	for i := range entries {
@@ -85,67 +82,59 @@ func mergeShards(entries []shardCrowd, owner func(geo.Point) int, gp gathering.P
 		if len(group) > 1 {
 			want := owner(centroid(entries[win].crowd.At(0)))
 			for _, i := range group[1:] {
-				if entries[i].shard == want && entries[win].shard != want {
+				if entries[i].node == want && entries[win].node != want {
 					win = i
 				}
 			}
-			st.deduped += len(group) - 1
 		}
 		kept = append(kept, entries[win])
 	}
 
-	// Stage 2: absorb partial views into a containing cross-shard copy.
 	drop := make([]bool, len(kept))
 	for i := range kept {
 		for j := range kept {
-			if i == j || drop[j] || kept[i].shard == kept[j].shard {
+			if i == j || drop[j] || kept[i].node == kept[j].node {
 				continue
 			}
 			if crowdContains(kept[j].crowd, kept[i].crowd) {
 				drop[i] = true
-				st.deduped++
 				break
 			}
 		}
 	}
-	merged := kept[:0:0]
+	out := kept[:0:0]
 	for i := range kept {
 		if !drop[i] {
-			merged = append(merged, kept[i])
+			out = append(out, kept[i])
 		}
 	}
+	return out
+}
 
-	// Stage 3: stitch overlapping cross-shard fragments by iterated
-	// pairwise fusion. Stitchability is re-checked against the fused
-	// result after every fuse rather than closed transitively: a middle
-	// fragment may legitimately bridge a left and a right view of one
-	// moving crowd (the fused crowd then shares members with the far side
-	// at every shared tick), but two branched crowds with disjoint
-	// clusters at some shared tick must never be unioned just because a
-	// third fragment overlaps both.
-	frags := make([]int, len(merged)) // fragments consumed per surviving entry
-	for i := range frags {
-		frags[i] = 1
-	}
+// stitch runs stage 3: overlapping cross-node fragments fuse by iterated
+// pairwise fusion. Stitchability is re-checked against the fused result
+// after every fuse rather than closed transitively: a middle fragment may
+// legitimately bridge a left and a right view of one moving crowd (the
+// fused crowd then shares members with the far side at every shared
+// tick), but two branched crowds with disjoint clusters at some shared
+// tick must never be unioned just because a third fragment overlaps both.
+func stitch(entries []entry, owner func(geo.Point) int, gp gathering.Params) []entry {
 	fusedAny := false
 	for {
 		found := false
-		for i := 0; i < len(merged) && !found; i++ {
-			for j := i + 1; j < len(merged); j++ {
-				// Same-shard entries are distinct discoveries by
-				// construction; fused entries (shard -1) may match anyone.
-				if merged[i].shard == merged[j].shard &&
-					merged[i].shard >= 0 {
+		for i := 0; i < len(entries) && !found; i++ {
+			for j := i + 1; j < len(entries); j++ {
+				// Same-node entries are distinct discoveries by
+				// construction; fused entries (node -1) may match anyone.
+				if entries[i].node == entries[j].node && entries[i].node >= 0 {
 					continue
 				}
-				if !stitchable(merged[i].crowd, merged[j].crowd) {
+				if !stitchable(entries[i].crowd, entries[j].crowd) {
 					continue
 				}
-				fused := stitchCrowds([]*crowd.Crowd{merged[i].crowd, merged[j].crowd})
-				merged[i] = shardCrowd{shard: -1, crowd: fused}
-				frags[i] += frags[j]
-				merged = append(merged[:j], merged[j+1:]...)
-				frags = append(frags[:j], frags[j+1:]...)
+				fused := stitchCrowds([]*crowd.Crowd{entries[i].crowd, entries[j].crowd})
+				entries[i] = entry{node: -1, crowd: fused}
+				entries = append(entries[:j], entries[j+1:]...)
 				found, fusedAny = true, true
 				break
 			}
@@ -155,17 +144,15 @@ func mergeShards(entries []shardCrowd, owner func(geo.Point) int, gp gathering.P
 		}
 	}
 	if !fusedAny {
-		return merged, st
+		return entries
 	}
-	for i := range merged {
-		if merged[i].shard >= 0 {
-			continue
+	for i := range entries {
+		if entries[i].node < 0 {
+			entries[i].node = owner(centroid(entries[i].crowd.At(0)))
+			entries[i].gathers = gathering.TADStar(entries[i].crowd, gp)
 		}
-		merged[i].shard = owner(centroid(merged[i].crowd.At(0)))
-		merged[i].gathers = gathering.TADStar(merged[i].crowd, gp)
-		st.stitched += frags[i]
 	}
-	return merged, st
+	return entries
 }
 
 // centroid returns the mean of a cluster's points.
@@ -198,9 +185,6 @@ func crowdSig(cr *crowd.Crowd) string {
 
 // clusterSubset reports whether a's objects are all in b (both sorted).
 func clusterSubset(a, b *snapshot.Cluster) bool {
-	if a == b {
-		return true // shared cluster view
-	}
 	if a.Len() > b.Len() {
 		return false
 	}
@@ -219,9 +203,6 @@ func clusterSubset(a, b *snapshot.Cluster) bool {
 
 // clustersIntersect reports whether two clusters share an object.
 func clustersIntersect(a, b *snapshot.Cluster) bool {
-	if a == b {
-		return a.Len() > 0 // shared cluster view
-	}
 	i, j := 0, 0
 	for i < a.Len() && j < b.Len() {
 		switch {
@@ -306,22 +287,10 @@ func stitchCrowds(frags []*crowd.Crowd) *crowd.Crowd {
 }
 
 // unionClusters unions the member sets of clusters observed at one tick.
-// Replicated objects carry identical interpolated positions in every
-// shard, so duplicates are dropped by ID. Shared cluster views make the
-// union trivial: fragments of one crowd hold the same pointer at a shared
-// tick, so no member merge is needed.
+// Replicated objects carry identical interpolated positions on every
+// node, so duplicates are dropped by ID.
 func unionClusters(cls []*snapshot.Cluster) *snapshot.Cluster {
 	if len(cls) == 1 {
-		return cls[0]
-	}
-	same := true
-	for _, cl := range cls[1:] {
-		if cl != cls[0] {
-			same = false
-			break
-		}
-	}
-	if same {
 		return cls[0]
 	}
 	n := 0
@@ -349,42 +318,4 @@ func unionClusters(cls []*snapshot.Cluster) *snapshot.Cluster {
 		up = append(up, pts[i])
 	}
 	return snapshot.NewCluster(cls[0].T, uo, up)
-}
-
-// compareCrowds orders crowds deterministically: by start tick, lifetime,
-// then per-tick membership (size, then object IDs). It returns 0 only for
-// crowds with identical spans and memberships, so sorting snapshot results
-// with it makes Limit truncation independent of shard iteration order.
-func compareCrowds(a, b *crowd.Crowd) int {
-	if a.Start != b.Start {
-		if a.Start < b.Start {
-			return -1
-		}
-		return 1
-	}
-	if la, lb := a.Lifetime(), b.Lifetime(); la != lb {
-		if la < lb {
-			return -1
-		}
-		return 1
-	}
-	aCls, bCls := a.Clusters(), b.Clusters()
-	for i := range aCls {
-		ca, cb := aCls[i], bCls[i]
-		if ca.Len() != cb.Len() {
-			if ca.Len() < cb.Len() {
-				return -1
-			}
-			return 1
-		}
-		for k := range ca.Objects {
-			if ca.Objects[k] != cb.Objects[k] {
-				if ca.Objects[k] < cb.Objects[k] {
-					return -1
-				}
-				return 1
-			}
-		}
-	}
-	return 0
 }

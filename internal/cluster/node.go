@@ -225,13 +225,19 @@ func (n *Node) HandleForward(w http.ResponseWriter, r *http.Request) {
 // rpc.LocalPath): the node's full, unfiltered local crowd set in the gob
 // wire format. Unfiltered deliberately — the coordinator must merge
 // before filtering so a canonical copy can absorb halo duplicates even
-// when the filter would drop it.
+// when the filter would drop it. A quarantined engine answers 503, so
+// the coordinator lists this node as unreachable instead of merging its
+// empty snapshot as a complete answer.
 func (n *Node) HandleLocal(w http.ResponseWriter, r *http.Request) {
 	if !n.versionOK(r) {
 		http.Error(w, fmt.Sprintf("membership-map version mismatch (local %d)", n.cfg.Map.Version), http.StatusConflict)
 		return
 	}
-	res := n.cfg.Engine.Snapshot(engine.Query{})
+	res, ok := n.localSnapshot()
+	if !ok {
+		http.Error(w, "quarantined: an apply panicked; restart to restore from checkpoint and WAL", http.StatusServiceUnavailable)
+		return
+	}
 	set := rpc.CrowdSet{Ticks: res.Ticks}
 	for i, cr := range res.Crowds {
 		set.Entries = append(set.Entries, rpc.CrowdEntry{Crowd: cr, Gatherings: res.Gatherings[i]})
@@ -240,6 +246,15 @@ func (n *Node) HandleLocal(w http.ResponseWriter, r *http.Request) {
 	if err := rpc.EncodeCrowdSet(w, set); err != nil && n.cfg.Logf != nil {
 		n.cfg.Logf("cluster: encoding local state: %v", err)
 	}
+}
+
+// localSnapshot reads the local engine's full state, or reports false if
+// an apply panic has quarantined it. The check follows the read: a
+// panic quarantines under the write lock, so a snapshot taken before it
+// is sound and one taken after it is caught here.
+func (n *Node) localSnapshot() (*engine.Result, bool) {
+	res := n.cfg.Engine.Snapshot(engine.Query{})
+	return res, !n.cfg.Engine.Quarantined()
 }
 
 // PartialMeta qualifies a scatter-gather answer.
@@ -254,10 +269,10 @@ type PartialMeta struct {
 
 // Query runs one scatter-gather snapshot query: fan the local-state read
 // across the membership (self included, read directly), merge the
-// answers with the engine's cross-shard merge at node granularity,
-// then filter and truncate exactly as a single store would. A dead, slow
-// or breaker-open peer degrades the answer to a partial result — its ID
-// listed in PartialMeta.Unreachable — and never fails the query.
+// answers (merge.go), then filter and truncate exactly as a single store
+// would. A dead, slow, breaker-open or quarantined member (self
+// included) degrades the answer to a partial result — its ID listed in
+// PartialMeta.Unreachable — and never fails the query.
 func (n *Node) Query(ctx context.Context, q engine.Query) (*engine.Result, PartialMeta) {
 	type answer struct {
 		node int
@@ -282,14 +297,20 @@ func (n *Node) Query(ctx context.Context, q engine.Query) (*engine.Result, Parti
 		}(i, p)
 	}
 
-	local := n.cfg.Engine.Snapshot(engine.Query{})
-	var entries []engine.RemoteEntry
-	for i, cr := range local.Crowds {
-		entries = append(entries, engine.RemoteEntry{Node: n.selfIdx, Crowd: cr, Gatherings: local.Gatherings[i]})
+	var (
+		meta     PartialMeta
+		entries  []entry
+		minTicks = -1 // no member has answered yet
+	)
+	if local, ok := n.localSnapshot(); ok {
+		for i, cr := range local.Crowds {
+			entries = append(entries, entry{node: n.selfIdx, crowd: cr, gathers: local.Gatherings[i]})
+		}
+		minTicks = local.Ticks
+	} else {
+		meta.Unreachable = append(meta.Unreachable, n.cfg.Map.Nodes[n.selfIdx].ID)
 	}
-	minTicks := local.Ticks
 
-	var meta PartialMeta
 	for ; fanned > 0; fanned-- {
 		a := <-answers
 		if a.err != nil {
@@ -300,29 +321,26 @@ func (n *Node) Query(ctx context.Context, q engine.Query) (*engine.Result, Parti
 			}
 			continue
 		}
-		if a.set.Ticks < minTicks {
+		if minTicks < 0 || a.set.Ticks < minTicks {
 			minTicks = a.set.Ticks
 		}
 		for _, en := range a.set.Entries {
-			entries = append(entries, engine.RemoteEntry{Node: a.node, Crowd: en.Crowd, Gatherings: en.Gatherings})
+			entries = append(entries, entry{node: a.node, crowd: en.Crowd, gathers: en.Gatherings})
 		}
 	}
 	if len(meta.Unreachable) > 0 {
 		n.counters.QueriesPartial.Add(1)
 	}
+	minTicks = max(minTicks, 0)
 
-	merged := engine.MergeRemote(entries, n.cfg.Map.OwnerIndex, n.cfg.GatherParams)
 	res := &engine.Result{Ticks: minTicks}
 	meta.Ticks = minTicks
-	for _, en := range merged {
-		if q.GatheringsOnly && len(en.Gatherings) == 0 {
+	for _, en := range merge(entries, n.cfg.Map.OwnerIndex, n.cfg.GatherParams) {
+		if q.GatheringsOnly && len(en.gathers) == 0 || !q.Matches(en.crowd) {
 			continue
 		}
-		if !q.Matches(en.Crowd) {
-			continue
-		}
-		res.Crowds = append(res.Crowds, en.Crowd)
-		res.Gatherings = append(res.Gatherings, en.Gatherings)
+		res.Crowds = append(res.Crowds, en.crowd)
+		res.Gatherings = append(res.Gatherings, en.gathers)
 		if q.Limit > 0 && len(res.Crowds) == q.Limit {
 			break
 		}

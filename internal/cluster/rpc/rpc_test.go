@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -103,8 +104,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-func testCrowdSet(t *testing.T) CrowdSet {
-	t.Helper()
+func testCrowdSet() CrowdSet {
 	mk := func(tick trajectory.Tick, objs ...trajectory.ObjectID) *snapshot.Cluster {
 		pts := make([]geo.Point, len(objs))
 		for i := range pts {
@@ -127,7 +127,7 @@ func testCrowdSet(t *testing.T) CrowdSet {
 }
 
 func TestCrowdSetRoundTrip(t *testing.T) {
-	set := testCrowdSet(t)
+	set := testCrowdSet()
 	var buf bytes.Buffer
 	if err := EncodeCrowdSet(&buf, set); err != nil {
 		t.Fatal(err)
@@ -164,6 +164,41 @@ func TestCrowdSetRoundTrip(t *testing.T) {
 	// A gathering's sub-crowd shares its parent's clusters.
 	if got.Entries[0].Gatherings[0].Crowd.Clusters()[0] != got.Entries[0].Crowd.Clusters()[0] {
 		t.Fatal("gathering sub-crowd lost cluster sharing")
+	}
+}
+
+// TestDecodeCrowdSetRejectsMalformed: a peer's answer that is
+// structurally broken must come back as an error, never as a panic or a
+// crowd the merge cannot handle.
+func TestDecodeCrowdSetRejectsMalformed(t *testing.T) {
+	var saved bytes.Buffer
+	if err := EncodeCrowdSet(&saved, testCrowdSet()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*wireCrowdSet)
+	}{
+		{"negative cluster ref", func(d *wireCrowdSet) { d.Crowds[0].Refs[0] = -1 }},
+		{"cluster ref past the table", func(d *wireCrowdSet) { d.Crowds[0].Refs[0] = int32(len(d.Clusters)) }},
+		{"crowd with no clusters", func(d *wireCrowdSet) { d.Crowds[1].Refs = nil }},
+		{"gathering Hi past its crowd", func(d *wireCrowdSet) { d.Crowds[0].Gathers[0].Hi = len(d.Crowds[0].Refs) + 1 }},
+		{"objects and points differ in length", func(d *wireCrowdSet) { d.Clusters[0].Points = d.Clusters[0].Points[:1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var d wireCrowdSet
+			if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&d); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&d)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&d); err != nil {
+				t.Fatal(err)
+			}
+			if set, err := DecodeCrowdSet(&buf); err == nil {
+				t.Fatalf("DecodeCrowdSet accepted it: %d entries", len(set.Entries))
+			}
+		})
 	}
 }
 

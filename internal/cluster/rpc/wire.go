@@ -92,7 +92,9 @@ func EncodeCrowdSet(w io.Writer, set CrowdSet) error {
 }
 
 // DecodeCrowdSet reads a set written by EncodeCrowdSet, rebuilding
-// detached crowd handles and their gatherings.
+// detached crowd handles and their gatherings. Malformed input is an
+// error, never a panic: cluster references, gathering ranges and parallel
+// slice lengths are checked before use.
 func DecodeCrowdSet(r io.Reader) (CrowdSet, error) {
 	var dto wireCrowdSet
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
@@ -103,10 +105,16 @@ func DecodeCrowdSet(r io.Reader) (CrowdSet, error) {
 	}
 	clusters := make([]*snapshot.Cluster, len(dto.Clusters))
 	for i, c := range dto.Clusters {
+		if len(c.Objects) != len(c.Points) {
+			return CrowdSet{}, fmt.Errorf("rpc: cluster %d has %d objects but %d points", i, len(c.Objects), len(c.Points))
+		}
 		clusters[i] = snapshot.NewCluster(c.T, c.Objects, c.Points)
 	}
 	set := CrowdSet{Ticks: dto.Ticks}
 	for _, wc := range dto.Crowds {
+		if len(wc.Refs) == 0 {
+			return CrowdSet{}, fmt.Errorf("rpc: crowd at tick %d has no clusters", wc.Start)
+		}
 		cls := make([]*snapshot.Cluster, len(wc.Refs))
 		for i, ref := range wc.Refs {
 			if ref < 0 || int(ref) >= len(clusters) {

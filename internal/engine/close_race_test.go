@@ -15,7 +15,7 @@ import (
 func TestCloseRacesInFlightAppend(t *testing.T) {
 	batches := testWorkload(t, 120, 48, 8)
 	for round := 0; round < 8; round++ {
-		e, err := New(Config{Pipeline: testPipeline(), Shards: 2})
+		e, err := New(Config{Pipeline: testPipeline()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,56 +1,26 @@
 // Package engine is the concurrent streaming layer over the paper's
-// §III-C incremental algorithm: a thread-safe, sharded discovery service
-// that ingests trajectory batches while answering snapshot queries.
+// §III-C incremental algorithm: a thread-safe discovery service that
+// ingests trajectory batches while answering snapshot queries.
 //
-// An Engine owns N incremental.Store shards fed through a bounded queue:
+// An Engine owns one incremental.Store fed through a bounded batch queue:
 // Append blocks when it is full (backpressure), TryAppend refuses instead.
-// Per-shard sequence numbers keep batch order even when several workers
-// race on one shard's tasks. How a batch reaches the shards depends on the
-// Partitioner's routing mode:
+// One applier goroutine takes the batches off the queue in order, builds
+// each batch's snapshot clusters with per-tick parallelism across Workers
+// goroutines, and applies the result to the store under the write lock —
+// so the engine computes exactly what a single store fed the same batches
+// computes, by construction.
 //
-//   - Cluster-once ingest (ClusterRouter — GridCell with a positive Halo,
-//     what DefaultEngineConfig and the gatherserve -halo default install).
-//     The batch is DBSCAN-clustered exactly once, globally, with per-tick
-//     parallelism across the worker pool — the same clusters a single
-//     store would build. Each snapshot cluster is then routed to the shard
-//     owning its centroid's cell, and every shard owning a cell within
-//     Halo of the cluster receives a view of the same *snapshot.Cluster.
-//     Workers only apply the pre-clustered per-shard CDBs under the write
-//     locks, so clustering cost no longer scales with the replication
-//     factor (ClustersBuilt counts each cluster once; ClustersReplicated
-//     tracks the views). Crowds discovered redundantly along cell borders
-//     have pointer-identical clusters by construction, and the
-//     snapshot-time merge (merge.go) collapses duplicates, absorbs
-//     tick-cropped views and stitches fragments of moving crowds back
-//     together, so multi-shard recall matches a single incremental store.
+// The store extends persistent state rather than rebuilding it: crowds are
+// prefix-sharing persistent structures (O(1) extension per cluster), each
+// live tail crowd's gathering detector grows by exactly the batch's ticks,
+// and the discovery sweep, DBSCAN and grid-index scratch are pooled — so
+// steady-state per-batch cost is proportional to the batch, not the stream
+// age (§III-C, Theorem 2; BenchmarkIncrementalAppend pins this flat).
 //
-//   - Single-shard routing (ObjectHash, or a zero-Halo GridCell). Each
-//     trajectory lands on exactly one shard, each shard's sub-batch is
-//     clustered by the worker pool independently, and no merge runs: the
-//     shards are independent discovery domains. Groups the partitioner
-//     scatters are lost; choose this mode for tenant isolation or raw
-//     throughput, not for recall-sensitive discovery.
-//
-//   - Legacy replicating fan-out (a MultiShardPartitioner without
-//     ClusterShards). Trajectories near cell edges are copied into every
-//     nearby shard's sub-batch and each shard re-clusters its copies —
-//     recall-preserving like cluster-once, but paying the 3–5× redundant
-//     clustering the cluster-once pipeline exists to avoid. Kept for
-//     custom partitioners that cannot route bare clusters.
-//
-// However a batch reaches a shard, the shard's incremental store extends
-// persistent state rather than rebuilding it: crowds are prefix-sharing
-// persistent structures (O(1) extension per cluster), each live tail
-// crowd's gathering detector grows by exactly the batch's ticks, and the
-// discovery sweep, DBSCAN and grid-index scratch are pooled — so steady-
-// state per-batch cost is proportional to the batch, not the stream age
-// (§III-C, Theorem 2; BenchmarkIncrementalAppend pins this flat).
-//
-// Queries read the current closed crowds and gatherings under per-shard
-// read locks: each shard's answer is internally consistent; across shards
-// a query may observe different ingest frontiers (use Flush for a global
-// barrier). Snapshot results are detached crowd handles sharing immutable
-// cluster data with the stores.
+// Queries read the store's cached closed crowds and gatherings under the
+// read lock, so each answer is consistent with a whole number of applied
+// batches. Snapshot results are detached crowd handles sharing immutable
+// cluster data with the store.
 package engine
 
 import (
@@ -72,48 +42,34 @@ import (
 
 // Config configures an Engine.
 type Config struct {
-	// Pipeline carries the discovery thresholds applied inside every
-	// shard (DBSCAN, crowd and gathering parameters, searcher scheme).
+	// Pipeline carries the discovery thresholds (DBSCAN, crowd and
+	// gathering parameters, searcher scheme).
 	Pipeline core.Config
 
-	// Shards is the number of independent incremental stores. Zero means
-	// one (the plain incremental algorithm behind a lock).
-	Shards int
-
-	// Workers is the ingest worker pool size. Zero means one worker per
-	// shard. Workers cluster sub-batches concurrently; a worker that gets
-	// ahead of a shard's batch order waits for its predecessor.
+	// Workers is the build parallelism: each batch's snapshot clusters
+	// are built by up to Workers goroutines, one tick at a time. Zero
+	// means one.
 	Workers int
 
-	// QueueDepth bounds the ingest queue in per-shard tasks (each Append
-	// enqueues Shards tasks). Zero means 4×Shards; values below Shards
-	// are rejected, since one batch must fit entirely.
+	// QueueDepth bounds the ingest queue in batches. Zero means 4.
 	QueueDepth int
 
-	// Partitioner routes trajectories to shards. Nil means ObjectHash.
-	Partitioner Partitioner
-
-	// ApplyFault, when non-nil, is called before every shard apply, under
-	// the shard's write lock — a fault-injection hook for the chaos
-	// harness (internal/chaos). A panic it raises is recovered by the
-	// worker and quarantines the shard instead of crashing the process.
-	// Production configurations leave it nil.
-	ApplyFault func(shard int, seq uint64)
+	// ApplyFault, when non-nil, is called with the apply sequence number
+	// (0 for the first batch taken off the queue) before every store
+	// apply, under the write lock — a fault-injection hook for the chaos
+	// harness (internal/chaos). A panic it raises is recovered and
+	// quarantines the store instead of crashing the process. Production
+	// configurations leave it nil.
+	ApplyFault func(seq uint64)
 }
 
 // withDefaults resolves zero fields to their documented defaults.
 func (c Config) withDefaults() Config {
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
 	if c.Workers == 0 {
-		c.Workers = c.Shards
+		c.Workers = 1
 	}
 	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.Shards
-	}
-	if c.Partitioner == nil {
-		c.Partitioner = ObjectHash{}
+		c.QueueDepth = 4
 	}
 	return c
 }
@@ -124,147 +80,61 @@ func (c Config) Validate() error {
 	if err := c.Pipeline.Validate(); err != nil {
 		return err
 	}
-	if c.Shards < 1 {
-		return fmt.Errorf("engine: Shards must be ≥ 1, got %d", c.Shards)
-	}
 	if c.Workers < 1 {
 		return fmt.Errorf("engine: Workers must be ≥ 1, got %d", c.Workers)
 	}
-	if c.QueueDepth < c.Shards {
-		return fmt.Errorf("engine: QueueDepth %d cannot hold one batch of %d shard tasks",
-			c.QueueDepth, c.Shards)
-	}
-	if v, ok := c.Partitioner.(interface{ Validate() error }); ok {
-		if err := v.Validate(); err != nil {
-			return err
-		}
+	if c.QueueDepth < 1 {
+		return fmt.Errorf("engine: QueueDepth must be ≥ 1, got %d", c.QueueDepth)
 	}
 	return nil
 }
 
 // Errors returned by the ingest side.
 var (
-	// ErrQueueFull is returned by TryAppend when the ingest queue cannot
-	// take a whole batch without blocking.
+	// ErrQueueFull is returned by TryAppend when the ingest queue is full.
 	ErrQueueFull = errors.New("engine: ingest queue full")
 	// ErrClosed is returned by Append and TryAppend after Close.
 	ErrClosed = errors.New("engine: closed")
 )
 
-// task is one shard's slice of an ingested batch: either a trajectory
-// sub-batch the worker still has to cluster (single-shard routing), or a
-// pre-clustered per-shard CDB from the cluster-once pipeline, which the
-// worker only applies.
-type task struct {
-	shard int
-	seq   uint64 // per-shard apply order
-	batch *trajectory.DB
-	cdb   *snapshot.CDB
-}
-
-// shard pairs an incremental store with its locks. mu guards the store;
-// readers take RLock, appliers take Lock. cond (on the write side of mu)
-// sequences appliers so sub-batches hit the store in Append order no
-// matter which worker finishes clustering first.
-type shard struct {
-	//gather:lock shard
-	mu   sync.RWMutex
-	cond *sync.Cond
-	//gather:guardedby shard
-	store *incremental.Store
-	//gather:guardedby shard
-	next uint64 // seq of the next task to apply
-	// quarantined marks a shard whose apply panicked: its store is no
-	// longer trusted, later sub-batches are discarded (the sequence still
-	// advances so siblings drain), and snapshots skip it. A checkpoint
-	// restore replaces the store and clears the flag.
-	//gather:guardedby shard
-	quarantined bool
-	// appliedTicks mirrors store.Ticks() on the healthy path and keeps
-	// counting discarded sub-batches after quarantine, so the engine's
-	// tick frontier never stalls on a poisoned shard.
-	//gather:guardedby shard
-	appliedTicks int
-	ticks        atomic.Int64 // appliedTicks after the last apply, lock-free for the frontier
-}
-
-// Engine is the concurrent sharded streaming-discovery service. Create
-// one with New; all methods are safe for concurrent use.
+// Engine is the concurrent streaming-discovery service. Create one with
+// New; all methods are safe for concurrent use.
 type Engine struct {
-	cfg    Config
-	shards []*shard
-	queue  chan task
-	wg     sync.WaitGroup
+	cfg Config
 
-	// gatherParams re-detects gatherings on crowds stitched from
-	// cross-shard fragments at Snapshot time.
-	gatherParams gathering.Params
-	// multi and router are set together — and only — when the partitioner
-	// actually replicates (MultiShardPartitioner with Replicates() true):
-	// multi marks the replicating regime, router maps a point to its
-	// owning shard for the snapshot merge. Both nil for single-shard
-	// routing, which skips the merge entirely. clusterRoute is set when
-	// the partitioner additionally implements ClusterRouter (GridCell
-	// does): batches are then clustered once globally and the shards
-	// receive per-tick cluster views instead of raw trajectory replicas.
-	// A replicating partitioner without ClusterRouter falls back to the
-	// legacy fan-out (replicate trajectories, cluster per shard).
-	multi        MultiShardPartitioner
-	router       PointRouter
-	clusterRoute ClusterRouter
+	// mu guards the store: queries take RLock, the applier takes Lock.
+	//gather:lock store
+	mu sync.RWMutex
+	//gather:guardedby store
+	store *incremental.Store
+	// quarantined marks a store whose apply panicked: it may be
+	// half-mutated, so later batches are discarded, snapshots return
+	// nothing and SaveState refuses. LoadState clears it.
+	//gather:guardedby store
+	quarantined bool
+	// ticks counts the ticks of every applied batch, discarded ones
+	// included, so the frontier keeps pace with the stream even while
+	// quarantined. Lock-free for Ticks.
+	ticks atomic.Int64
 
-	// mergeMu guards the memoized cross-shard merge: the merged, sorted
-	// crowd list is recomputed only when a sub-batch has been applied
-	// since it was built (mergeVer tracks TasksApplied), so steady-state
-	// queries pay a filter over the cached list, not the O(k²) merge.
-	//gather:lock merge
-	mergeMu sync.Mutex
-	//gather:guardedby merge
-	mergeVer uint64
-	//gather:guardedby merge
-	mergeValid bool
-	//gather:guardedby merge
-	mergeCache []shardCrowd
-	//gather:guardedby merge
-	mergeTicks int
-
-	// buildMu serialises the cluster-once global DBSCAN pass across
-	// concurrent appenders: each build already fans per-tick work across
-	// Workers goroutines, so admitting one at a time keeps total
-	// clustering parallelism bounded by the configured worker count.
-	//gather:lock build
-	buildMu sync.Mutex
-
-	// enqMu serialises sequence assignment and queue sends so the queue's
-	// FIFO order agrees with per-shard sequence order (workers would
-	// deadlock waiting for an out-of-order predecessor otherwise). Free
-	// capacity is tracked explicitly in qFree so admission waits on
-	// enqCond, never parked inside a channel send while holding enqMu —
-	// that would stall TryAppend and Close behind a blocked Append.
-	//gather:lock enq
-	enqMu   sync.Mutex
-	enqCond *sync.Cond
-	//gather:guardedby enq
-	qFree int // queue slots not yet promised to a batch
-	//gather:guardedby enq
-	inflight int // batches holding reserved slots but not yet published
-	//gather:guardedby enq
-	seq uint64
-	//gather:guardedby enq
+	// qmu guards the bounded batch queue. qcond is broadcast whenever a
+	// batch enters or leaves the queue, finishes applying, or Close runs;
+	// appenders, the applier and Flush all wait on it.
+	//gather:lock queue
+	qmu   sync.Mutex
+	qcond *sync.Cond
+	//gather:guardedby queue
+	queue []*trajectory.DB
+	//gather:guardedby queue
+	pending int // batches queued or being applied, for Flush
+	//gather:guardedby queue
 	closed bool
 
-	// pending tracks enqueued-but-unapplied tasks for Flush.
-	//gather:lock pend
-	pendMu   sync.Mutex
-	pendCond *sync.Cond
-	//gather:guardedby pend
-	pending int
-
+	wg       sync.WaitGroup
 	counters stats.EngineCounters
-	ticksLow atomic.Int64 // cached fully-applied tick frontier (min over shards)
 }
 
-// New creates an engine and starts its worker pool.
+// New creates an engine and starts its applier.
 func New(cfg Config) (*Engine, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
@@ -274,440 +144,169 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// newEngine builds the engine without starting workers; tests use it to
-// exercise queue backpressure deterministically.
+// newEngine builds the engine without starting the applier; tests use it
+// to exercise queue backpressure deterministically.
 func newEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:    cfg,
-		shards: make([]*shard, cfg.Shards),
-		queue:  make(chan task, cfg.QueueDepth),
-		qFree:  cfg.QueueDepth,
+	st, err := incremental.New(
+		crowd.Params{MC: cfg.Pipeline.MC, KC: cfg.Pipeline.KC, Delta: cfg.Pipeline.Delta},
+		gathering.Params{KC: cfg.Pipeline.KC, KP: cfg.Pipeline.KP, MP: cfg.Pipeline.MP},
+		cfg.Pipeline.SearcherFactory(),
+	)
+	if err != nil {
+		return nil, err
 	}
-	if m, ok := cfg.Partitioner.(MultiShardPartitioner); ok && m.Replicates() {
-		r, ok := cfg.Partitioner.(PointRouter)
-		if !ok {
-			// Replication without owner routing would return every
-			// boundary crowd once per discovering shard: refuse it.
-			return nil, fmt.Errorf("engine: partitioner %s replicates (ShardSet) but implements no PointRouter for the snapshot merge", m.Name())
-		}
-		e.multi, e.router = m, r
-		if cr, ok := cfg.Partitioner.(ClusterRouter); ok {
-			e.clusterRoute = cr
-		}
-	}
-	e.enqCond = sync.NewCond(&e.enqMu)
-	e.pendCond = sync.NewCond(&e.pendMu)
-	cp := crowd.Params{MC: cfg.Pipeline.MC, KC: cfg.Pipeline.KC, Delta: cfg.Pipeline.Delta}
-	gp := gathering.Params{KC: cfg.Pipeline.KC, KP: cfg.Pipeline.KP, MP: cfg.Pipeline.MP}
-	e.gatherParams = gp
-	factory := cfg.Pipeline.SearcherFactory()
-	for i := range e.shards {
-		st, err := incremental.New(cp, gp, factory)
-		if err != nil {
-			return nil, err
-		}
-		sh := &shard{store: st}
-		sh.cond = sync.NewCond(&sh.mu)
-		e.shards[i] = sh
-	}
+	e := &Engine{cfg: cfg, store: st}
+	e.qcond = sync.NewCond(&e.qmu)
 	return e, nil
 }
 
-// start launches the worker pool.
+// start launches the applier goroutine.
 func (e *Engine) start() {
-	for w := 0; w < e.cfg.Workers; w++ {
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			for t := range e.queue {
-				// The buffer slot is free as soon as the task is out of
-				// the channel; hand it to a waiting appender.
-				e.enqMu.Lock()
-				e.qFree++
-				e.enqCond.Signal()
-				e.enqMu.Unlock()
-				e.apply(t)
-			}
-		}()
+	e.wg.Add(1)
+	go e.run()
+}
+
+// run is the applier: it applies queued batches in order until the engine
+// is closed and the queue drained.
+func (e *Engine) run() {
+	defer e.wg.Done()
+	for seq := uint64(0); ; seq++ {
+		batch, ok := e.next()
+		if !ok {
+			return
+		}
+		e.apply(seq, batch)
+		e.qmu.Lock()
+		e.pending--
+		e.qcond.Broadcast()
+		e.qmu.Unlock()
 	}
 }
 
-// Append splits the batch across the shards and enqueues it, blocking
-// while the ingest queue is full (backpressure). The batch covers the
-// next batch.Domain.N ticks of every shard's domain; concurrent Append
-// calls are admitted one at a time, in lock-acquisition order. The engine
-// keeps reading the batch after Append returns (workers cluster it
-// asynchronously; with one shard it is routed without copying), so callers
-// must not mutate it.
+// next takes the oldest batch off the queue, waiting for one; ok is false
+// once the engine is closed and the queue is empty.
+func (e *Engine) next() (batch *trajectory.DB, ok bool) {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	for len(e.queue) == 0 {
+		if e.closed {
+			return nil, false
+		}
+		e.qcond.Wait()
+	}
+	batch = e.queue[0]
+	e.queue[0] = nil
+	e.queue = e.queue[1:]
+	e.qcond.Broadcast() // a slot is free
+	return batch, true
+}
+
+// Append enqueues the batch, blocking while the ingest queue is full
+// (backpressure). The batch covers the next batch.Domain.N ticks;
+// concurrent Append calls are admitted one at a time, in lock-acquisition
+// order. The engine keeps reading the batch after Append returns (it is
+// clustered asynchronously), so callers must not mutate it.
 //
 //gather:blocking
 func (e *Engine) Append(batch *trajectory.DB) error { return e.enqueue(batch, true) }
 
 // TryAppend is Append without the blocking: it returns ErrQueueFull when
-// the batch cannot be taken right now — the queue is full, or (under
-// cluster-once routing) the global clustering stage is busy with another
-// appender's batch.
+// the queue is full.
 func (e *Engine) TryAppend(batch *trajectory.DB) error { return e.enqueue(batch, false) }
 
 //gather:blocking
 func (e *Engine) enqueue(batch *trajectory.DB, wait bool) error {
-	n := e.cfg.Shards
-	clusterOnce := e.clusterRoute != nil && n > 1
-
-	// Phase 1 — admission: reserve the batch's n queue slots before any
-	// routing work, so a batch that cannot be accepted costs nothing
-	// (Append parks here under backpressure, TryAppend fails fast) and an
-	// accepted batch's sends in phase 3 can never block. inflight keeps
-	// Close from shutting the queue while a reservation is outstanding.
-	e.enqMu.Lock()
-	for e.qFree < n {
-		if e.closed {
-			e.enqMu.Unlock()
-			return ErrClosed
-		}
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	for !e.closed && len(e.queue) >= e.cfg.QueueDepth {
 		if !wait {
-			e.enqMu.Unlock()
 			e.counters.BatchesRejected.Add(1)
 			return ErrQueueFull
 		}
-		e.enqCond.Wait() // backpressure: parked before any routing work
+		e.qcond.Wait()
 	}
 	if e.closed {
-		e.enqMu.Unlock()
 		return ErrClosed
 	}
-	e.qFree -= n
-	e.inflight++
-	e.enqMu.Unlock()
-
-	// Phase 2 — route. Cluster-once: the whole batch is DBSCAN-clustered
-	// here, once, on the appender's goroutine (per-tick parallelism
-	// across the worker count), and the shards are handed pre-clustered
-	// views — the workers only apply them. buildMu admits one global
-	// build at a time so concurrent appenders cannot multiply clustering
-	// parallelism past the worker count; TryAppend refuses instead of
-	// queueing behind another appender's build, keeping its no-blocking
-	// contract. Otherwise each shard's task carries raw trajectories and
-	// the worker clusters them. Routing counters are deferred to phase 3:
-	// a dropped batch must not advance them.
-	var cdbs []*snapshot.CDB
-	var subs []*trajectory.DB
-	var stat routeStats
-	switch {
-	case clusterOnce:
-		if wait {
-			e.buildMu.Lock()
-		} else if !e.buildMu.TryLock() {
-			e.abandon(n)
-			e.counters.BatchesRejected.Add(1)
-			return ErrQueueFull
-		}
-		cdbs, stat = e.routeClusters(batch)
-		e.buildMu.Unlock()
-	case n == 1:
-		// Single shard: every trajectory targets shard 0 whatever the
-		// partitioner says, and a zero-halo single shard replicates
-		// nothing — hand the batch through untouched instead of copying
-		// its trajectory headers into a sub-batch, so one-shard ingest
-		// costs exactly the single-store pipeline plus the queue hop.
-		subs = []*trajectory.DB{batch}
-	default:
-		subs, stat = e.split(batch)
-	}
-
-	// Phase 3 — publish: assign the batch sequence number and send the
-	// shard tasks in one enqMu critical section, so queue FIFO order
-	// agrees with per-shard sequence order (workers would deadlock on an
-	// out-of-order predecessor otherwise). The phase-1 reservation makes
-	// every send buffered — enqMu is never held across a park. A Close
-	// that raced with phase 2 wins: the batch is dropped and its slots
-	// returned before Close shuts the queue.
-	e.enqMu.Lock()
-	defer e.enqMu.Unlock()
-	e.inflight--
-	if e.closed {
-		e.qFree += n
-		e.enqCond.Broadcast() // wake Close waiting for inflight to drain
-		return ErrClosed
-	}
-	stat.apply(&e.counters)
-	seq := e.seq
-	e.seq++
-	e.pendMu.Lock()
-	e.pending += n
-	e.pendMu.Unlock()
-	for i := 0; i < n; i++ {
-		t := task{shard: i, seq: seq}
-		if cdbs != nil {
-			t.cdb = cdbs[i]
-		} else {
-			t.batch = subs[i]
-		}
-		// The phase-1 reservation guarantees n free buffered slots, so
-		// these sends cannot block even though enqMu is still held.
-		e.queue <- t //lint:allow lockcheck phase-1 reserved n buffered slots, so this send cannot block
-	}
+	e.queue = append(e.queue, batch)
+	e.pending++
+	e.qcond.Broadcast()
 	e.counters.BatchesEnqueued.Add(1)
 	e.counters.TicksIngested.Add(uint64(batch.Domain.N))
 	return nil
 }
 
-// abandon returns a phase-1 reservation unused (busy build stage or a
-// Close racing ahead), waking slot waiters and a draining Close.
-func (e *Engine) abandon(n int) {
-	e.enqMu.Lock()
-	e.qFree += n
-	e.inflight--
-	e.enqCond.Broadcast()
-	e.enqMu.Unlock()
-}
-
-// routeStats carries the routing counters of one prepared batch; they are
-// folded into the engine counters only once the batch is admitted, so a
-// rejected TryAppend leaves no trace beyond BatchesRejected.
-type routeStats struct {
-	clustersBuilt      int
-	clustersReplicated int
-	objectsReplicated  int
-}
-
-func (s routeStats) apply(c *stats.EngineCounters) {
-	if s.clustersBuilt > 0 {
-		c.ClustersBuilt.Add(uint64(s.clustersBuilt))
-	}
-	if s.clustersReplicated > 0 {
-		c.ClustersReplicated.Add(uint64(s.clustersReplicated))
-	}
-	if s.objectsReplicated > 0 {
-		c.ObjectsReplicated.Add(uint64(s.objectsReplicated))
-	}
-}
-
-// split partitions the batch's trajectories into one sub-batch per shard.
-// Every shard gets a sub-batch — possibly with no trajectories — because
-// each store must still advance its time domain by the batch's ticks.
-// With a MultiShardPartitioner (and no ClusterRouter — the legacy
-// replicating fan-out) a trajectory may land in several sub-batches (home
-// shard plus halo replicas); replicas are reported in the returned stats
-// and collapsed again by the snapshot merge. Sub-batch and routing slices
-// are pre-sized so steady-state splitting never grows an append.
-func (e *Engine) split(batch *trajectory.DB) ([]*trajectory.DB, routeStats) {
-	n := e.cfg.Shards
-	subs := make([]*trajectory.DB, n)
-	per := len(batch.Trajs)/n + 1
-	for i := range subs {
-		subs[i] = &trajectory.DB{
-			Domain: batch.Domain,
-			Trajs:  make([]trajectory.Trajectory, 0, per),
-		}
-	}
-	targets := make([]int, 0, n)
-	replicated := 0
-	for i := range batch.Trajs {
-		tr := &batch.Trajs[i]
-		if e.multi != nil && n > 1 {
-			targets = e.multi.ShardSet(tr, batch.Domain, n, targets[:0])
-			added := 0
-			for _, s := range targets {
-				s = normShard(s, n)
-				// Out-of-range ShardSet values may fold onto a shard this
-				// trajectory already targets; its copy would be the last
-				// append on that shard, so one look suffices to dedupe.
-				if prev := subs[s].Trajs; len(prev) > 0 && prev[len(prev)-1].ID == tr.ID {
-					continue
-				}
-				subs[s].Trajs = append(subs[s].Trajs, *tr)
-				added++
-			}
-			if added > 1 {
-				replicated += added - 1
-			}
-			continue
-		}
-		s := normShard(e.cfg.Partitioner.Shard(tr, batch.Domain, n), n)
-		subs[s].Trajs = append(subs[s].Trajs, *tr)
-	}
-	return subs, routeStats{objectsReplicated: replicated}
-}
-
-// routeClusters is the cluster-once ingest stage: one global DBSCAN pass
-// over the batch (per-tick parallelism across the worker pool, exactly the
-// clusters a single store would build), then a cluster-granularity fan-out
-// — each cluster goes to the shard owning its centroid, and halo-adjacent
-// shards receive a view of the same *snapshot.Cluster. Duplicate crowd
-// discoveries therefore have identical per-tick membership by construction
-// and the snapshot merge collapses them with pointer-equality fast paths.
-// ClustersBuilt counts the global pass once per batch: it no longer scales
-// with the replication factor; ClustersReplicated and ObjectsReplicated
-// track the extra view deliveries (all via the returned stats, applied on
-// admission).
-func (e *Engine) routeClusters(batch *trajectory.DB) ([]*snapshot.CDB, routeStats) {
+// apply builds one batch's snapshot clusters outside any lock, then
+// appends them to the store under the write lock.
+func (e *Engine) apply(seq uint64, batch *trajectory.DB) {
 	cdb := snapshot.Build(batch, e.cfg.Pipeline.SnapshotOptions(e.cfg.Workers))
-	stat := routeStats{clustersBuilt: cdb.NumClusters()}
+	e.counters.ClustersBuilt.Add(uint64(cdb.NumClusters()))
 
-	n := e.cfg.Shards
-	out := make([]*snapshot.CDB, n)
-	for s := range out {
-		out[s] = &snapshot.CDB{
-			Domain:   cdb.Domain,
-			Clusters: make([][]*snapshot.Cluster, cdb.Domain.N),
-		}
+	e.mu.Lock()
+	if !e.quarantined && !e.appendStore(seq, cdb) {
+		e.quarantined = true
+		e.counters.ApplyPanics.Add(1)
 	}
-	targets := make([]int, 0, n)
-	for t, cls := range cdb.Clusters {
-		for _, cl := range cls {
-			targets = e.clusterRoute.ClusterShards(centroid(cl), cl.MBR(), n, targets[:0])
-			delivered := 0
-			for _, s := range targets {
-				s = normShard(s, n)
-				// Out-of-range ClusterShards values may fold onto a shard
-				// already holding this cluster; it would be that shard's
-				// last append, so one look suffices to dedupe.
-				if prev := out[s].Clusters[t]; len(prev) > 0 && prev[len(prev)-1] == cl {
-					continue
-				}
-				out[s].Clusters[t] = append(out[s].Clusters[t], cl)
-				delivered++
-			}
-			if delivered > 1 {
-				stat.clustersReplicated += delivered - 1
-				stat.objectsReplicated += (delivered - 1) * cl.Len()
-			}
-		}
-	}
-	return out, stat
-}
-
-// apply brings one shard task to its store in sequence order. A task from
-// the cluster-once pipeline already carries its per-shard CDB; a raw
-// sub-batch is clustered here (outside any lock) first.
-func (e *Engine) apply(t task) {
-	cdb := t.cdb
-	if cdb == nil {
-		cdb = core.BuildCDB(t.batch, e.cfg.Pipeline)
-		e.counters.ClustersBuilt.Add(uint64(cdb.NumClusters()))
-	}
-
-	sh := e.shards[t.shard]
-	sh.mu.Lock()
-	for sh.next != t.seq {
-		sh.cond.Wait()
-	}
-	if !sh.quarantined {
-		e.applyStore(sh, t.shard, t.seq, cdb)
-	}
-	// appliedTicks advances whether or not the store took the batch: a
-	// quarantined shard must not stall the engine-wide tick frontier, and
-	// the sequence must advance so successors parked on cond drain.
-	sh.appliedTicks += cdb.Domain.N
-	sh.ticks.Store(int64(sh.appliedTicks))
-	sh.next++
-	sh.cond.Broadcast()
-	sh.mu.Unlock()
-
+	e.ticks.Add(int64(cdb.Domain.N))
+	e.mu.Unlock()
 	e.counters.TasksApplied.Add(1)
-	e.advanceFrontier()
-
-	e.pendMu.Lock()
-	e.pending--
-	if e.pending == 0 {
-		e.pendCond.Broadcast()
-	}
-	e.pendMu.Unlock()
 }
 
-// applyStore feeds one sub-batch to the shard's store, converting a panic
-// — an injected fault or real corruption — into quarantine: the store may
-// be half-mutated, so it is retired rather than trusted. Called with the
-// shard's write lock held.
-func (e *Engine) applyStore(sh *shard, shardIdx int, seq uint64, cdb *snapshot.CDB) {
+// appendStore feeds one batch to the store and reports whether it
+// completed: a panic — an injected fault or real corruption — is
+// recovered and reported as false, and the caller quarantines the store.
+// Called with the write lock held.
+func (e *Engine) appendStore(seq uint64, cdb *snapshot.CDB) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			sh.quarantined = true //lint:allow racecheck applyStore runs under apply's sh.mu write lock, which the deferred closure inherits
-			e.counters.ApplyPanics.Add(1)
-			e.counters.ShardsQuarantined.Add(1)
+			ok = false
 		}
 	}()
 	if f := e.cfg.ApplyFault; f != nil {
-		f(shardIdx, seq)
+		f(seq)
 	}
-	sh.store.Append(cdb)
+	e.store.Append(cdb)
+	return true
 }
 
-// Quarantined returns the indices of shards retired by a recovered apply
-// panic. Their data is excluded from snapshots; a checkpoint restore
-// (LoadState) brings them back.
-func (e *Engine) Quarantined() []int {
-	var out []int
-	for i, sh := range e.shards {
-		sh.mu.RLock()
-		q := sh.quarantined
-		sh.mu.RUnlock()
-		if q {
-			out = append(out, i)
-		}
-	}
-	return out
+// Quarantined reports whether a recovered apply panic retired the store.
+// Its data is then excluded from snapshots and checkpoints until a
+// checkpoint restore (LoadState) replaces it.
+func (e *Engine) Quarantined() bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.quarantined
 }
 
-// advanceFrontier recomputes the fully-applied tick frontier from the
-// per-shard tick atomics — no shard locks on the ingest hot path.
-func (e *Engine) advanceFrontier() {
-	low := int64(-1)
-	for _, sh := range e.shards {
-		t := sh.ticks.Load()
-		if low < 0 || t < low {
-			low = t
-		}
-	}
-	// Monotonic max: a stale worker must not move the frontier backwards.
-	for {
-		cur := e.ticksLow.Load()
-		if low <= cur || e.ticksLow.CompareAndSwap(cur, low) {
-			return
-		}
-	}
-}
+// Ticks returns the number of ticks applied — the engine's ingested
+// frontier. Batches still in the queue are not counted.
+func (e *Engine) Ticks() int { return int(e.ticks.Load()) }
 
-// Ticks returns the number of ticks applied to every shard — the engine's
-// fully-ingested frontier. Batches still in the queue are not counted.
-func (e *Engine) Ticks() int { return int(e.ticksLow.Load()) }
-
-// Flush blocks until every batch enqueued before the call has been applied
-// to its shard, establishing a cross-shard consistent frontier.
+// Flush blocks until every batch enqueued before the call has been
+// applied.
 //
 //gather:blocking
 func (e *Engine) Flush() {
-	e.pendMu.Lock()
+	e.qmu.Lock()
 	for e.pending > 0 {
-		e.pendCond.Wait()
+		e.qcond.Wait()
 	}
-	e.pendMu.Unlock()
+	e.qmu.Unlock()
 }
 
-// Close stops accepting batches, drains the queue and stops the workers.
-// It is idempotent; queries remain valid after Close. Batches still in
-// their routing phase are dropped: their reservations are waited out so
-// the queue channel never closes under a pending send.
+// Close stops accepting batches, applies the ones already queued and
+// stops the applier. It is idempotent; queries remain valid after Close.
 //
 //gather:blocking
 func (e *Engine) Close() {
-	e.enqMu.Lock()
-	if e.closed {
-		e.enqMu.Unlock()
-		return
-	}
+	e.qmu.Lock()
 	e.closed = true
-	e.enqCond.Broadcast() // wake parked appenders; they return ErrClosed
-	for e.inflight > 0 {
-		e.enqCond.Wait() // in-flight batches abandon in phase 3
-	}
-	close(e.queue)
-	e.enqMu.Unlock()
+	e.qcond.Broadcast() // wake parked appenders; they return ErrClosed
+	e.qmu.Unlock()
 	e.wg.Wait()
 }
 
@@ -735,41 +334,34 @@ type Query struct {
 	Limit int
 }
 
-// matches reports whether cr passes the window and bounds filters.
-func (q Query) matches(cr *crowd.Crowd) bool {
+// Matches reports whether cr passes the query's window and bounds filters.
+func (q Query) Matches(cr *crowd.Crowd) bool {
 	if q.Window != nil && (cr.Start > q.Window.To || cr.End() < q.Window.From) {
 		return false
 	}
-	if q.Bounds != nil {
-		// Cluster MBRs are cached, so this is a rect-intersection scan
-		// that stops at the first hit — for matching crowds usually the
-		// first cluster.
-		hit := false
-		for _, c := range cr.Clusters() {
-			if c.MBR().Intersects(*q.Bounds) {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return false
+	if q.Bounds == nil {
+		return true
+	}
+	// Cluster MBRs are cached, so this is a rect-intersection scan that
+	// stops at the first hit — for matching crowds usually the first
+	// cluster.
+	for _, c := range cr.Clusters() {
+		if c.MBR().Intersects(*q.Bounds) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // Result is one snapshot answer: the matching closed crowds with their
 // gatherings, parallel slices as in core.Discovery.
 type Result struct {
-	// Ticks is the fully-applied tick frontier of the answer: the minimum
-	// of the per-shard tick counts observed under the shards' read locks,
-	// so every shard had applied at least this many ticks when it was
-	// read. Crowds from shards ahead of the minimum may extend past it.
+	// Ticks is the number of ticks the store had applied when it was
+	// read; no crowd extends past it.
 	Ticks int
 	// Crowds are detached copies: safe to hold while ingestion continues.
-	// They are sorted deterministically (start tick, lifetime, then
-	// per-tick membership), so Query.Limit always truncates the same way
-	// regardless of shard count or iteration order.
+	// They are sorted by CompareCrowds, so Query.Limit always truncates
+	// the same way.
 	Crowds     []*crowd.Crowd
 	Gatherings [][]*gathering.Gathering
 }
@@ -783,146 +375,42 @@ func (r *Result) AllGatherings() []*gathering.Gathering {
 	return out
 }
 
-// Snapshot answers a query against the current state. Each shard is read
-// under its read lock, so the answer is consistent per shard; shards are
-// visited in order and may sit at different ingest frontiers while
-// batches are in flight (Flush first for a global barrier). When the
-// partitioner replicates (MultiShardPartitioner), the per-shard answers
-// are merged first: duplicate discoveries of one boundary crowd collapse
-// onto its canonical owner and cross-shard fragments are stitched whole
-// (see merge.go). The surviving crowds are sorted deterministically and
-// only then truncated to Query.Limit. The returned crowds are shallow
-// copies detached from the ingest path; clusters and gatherings are
+// byCrowd sorts a Result's parallel slices by CompareCrowds.
+type byCrowd struct{ *Result }
+
+func (r byCrowd) Len() int           { return len(r.Crowds) }
+func (r byCrowd) Less(i, j int) bool { return CompareCrowds(r.Crowds[i], r.Crowds[j]) < 0 }
+func (r byCrowd) Swap(i, j int) {
+	r.Crowds[i], r.Crowds[j] = r.Crowds[j], r.Crowds[i]
+	r.Gatherings[i], r.Gatherings[j] = r.Gatherings[j], r.Gatherings[i]
+}
+
+// Snapshot answers a query against the current state. The store's cached
+// crowds are filtered under the read lock, then sorted and truncated to
+// Query.Limit. A quarantined store answers nothing. The returned crowds
+// are detached from the ingest path; clusters and gatherings are
 // immutable and shared.
 func (e *Engine) Snapshot(q Query) *Result {
-	var matched []shardCrowd
-	var minTicks int
-	if e.multi != nil && len(e.shards) > 1 {
-		// Replicating partitioner: filter the memoized merged state. The
-		// merge must see every crowd — a filtered-out canonical copy must
-		// still absorb its surviving duplicates — so filters apply to its
-		// already-sorted output.
-		entries, ticks := e.mergedState()
-		minTicks = ticks
-		for _, en := range entries {
-			if q.GatheringsOnly && len(en.gathers) == 0 {
+	res := &Result{}
+	e.mu.RLock()
+	if !e.quarantined {
+		res.Ticks = e.store.Ticks()
+		gathers := e.store.Gatherings()
+		for i, cr := range e.store.Crowds() {
+			if q.GatheringsOnly && len(gathers[i]) == 0 || !q.Matches(cr) {
 				continue
 			}
-			if !q.matches(en.crowd) {
-				continue
-			}
-			matched = append(matched, en)
+			res.Crowds = append(res.Crowds, cr)
+			res.Gatherings = append(res.Gatherings, gathers[i])
 		}
-	} else {
-		// Single-shard routing: no duplicates can exist, so matches are
-		// collected directly under the read locks — the store's cached
-		// crowds are detached handles, immutable across later applies.
-		minTicks = -1
-		for si, sh := range e.shards {
-			sh.mu.RLock()
-			if sh.quarantined {
-				// A poisoned store's answers are not trusted; its frontier
-				// keeps advancing via appliedTicks, so it is skipped whole.
-				sh.mu.RUnlock()
-				continue
-			}
-			if t := sh.store.Ticks(); minTicks < 0 || t < minTicks {
-				minTicks = t
-			}
-			crowds := sh.store.Crowds()
-			gathers := sh.store.Gatherings()
-			for i, cr := range crowds {
-				if q.GatheringsOnly && len(gathers[i]) == 0 {
-					continue
-				}
-				if !q.matches(cr) {
-					continue
-				}
-				matched = append(matched, shardCrowd{shard: si, crowd: cr, gathers: gathers[i]})
-			}
-			sh.mu.RUnlock()
-		}
-		if minTicks < 0 {
-			minTicks = 0
-		}
-		sort.Slice(matched, func(i, j int) bool {
-			return compareCrowds(matched[i].crowd, matched[j].crowd) < 0
-		})
 	}
-	if q.Limit > 0 && len(matched) > q.Limit {
-		matched = matched[:q.Limit]
+	e.mu.RUnlock()
+	sort.Sort(byCrowd{res})
+	if q.Limit > 0 && len(res.Crowds) > q.Limit {
+		res.Crowds, res.Gatherings = res.Crowds[:q.Limit], res.Gatherings[:q.Limit]
 	}
 
-	res := &Result{Ticks: minTicks}
-	for _, en := range matched {
-		res.Crowds = append(res.Crowds, en.crowd)
-		res.Gatherings = append(res.Gatherings, en.gathers)
-	}
 	e.counters.Queries.Add(1)
-	return e.finishSnapshot(res)
-}
-
-// mergedState returns the deduplicated, stitched, sorted cross-shard crowd
-// list and its tick frontier, memoized until the next sub-batch apply. The
-// CrowdsDeduped/CrowdsStitched counters therefore advance once per state
-// change, tracking replication activity rather than query rate. Returned
-// entries are immutable and shared between queries.
-func (e *Engine) mergedState() ([]shardCrowd, int) {
-	// Read the apply version before collecting: if an apply lands during
-	// the computation the version check below fails and the result is
-	// served uncached (it is still a valid snapshot).
-	ver := e.counters.TasksApplied.Load()
-	e.mergeMu.Lock()
-	if e.mergeValid && e.mergeVer == ver {
-		ents, ticks := e.mergeCache, e.mergeTicks
-		e.mergeMu.Unlock()
-		return ents, ticks
-	}
-	e.mergeMu.Unlock()
-
-	var entries []shardCrowd
-	minTicks := -1
-	for si, sh := range e.shards {
-		sh.mu.RLock()
-		if sh.quarantined {
-			sh.mu.RUnlock()
-			continue
-		}
-		if t := sh.store.Ticks(); minTicks < 0 || t < minTicks {
-			minTicks = t
-		}
-		crowds := sh.store.Crowds()
-		gathers := sh.store.Gatherings()
-		for i, cr := range crowds {
-			entries = append(entries, shardCrowd{shard: si, crowd: cr, gathers: gathers[i]})
-		}
-		sh.mu.RUnlock()
-	}
-	if minTicks < 0 {
-		minTicks = 0
-	}
-
-	n := len(e.shards)
-	entries, st := mergeShards(entries, func(p geo.Point) int {
-		return normShard(e.router.OwnerShard(p, n), n)
-	}, e.gatherParams)
-	e.counters.CrowdsDeduped.Add(uint64(st.deduped))
-	e.counters.CrowdsStitched.Add(uint64(st.stitched))
-	sort.Slice(entries, func(i, j int) bool {
-		return compareCrowds(entries[i].crowd, entries[j].crowd) < 0
-	})
-
-	if e.counters.TasksApplied.Load() == ver {
-		e.mergeMu.Lock()
-		e.mergeCache, e.mergeTicks = entries, minTicks
-		e.mergeVer, e.mergeValid = ver, true
-		e.mergeMu.Unlock()
-	}
-	return entries, minTicks
-}
-
-// finishSnapshot updates the query-side counters and returns res.
-func (e *Engine) finishSnapshot(res *Result) *Result {
 	e.counters.CrowdsReturned.Add(uint64(len(res.Crowds)))
 	ngs := 0
 	for _, gs := range res.Gatherings {
@@ -930,4 +418,43 @@ func (e *Engine) finishSnapshot(res *Result) *Result {
 	}
 	e.counters.GatheringsReturned.Add(uint64(ngs))
 	return res
+}
+
+// CompareCrowds orders crowds deterministically: by start tick, lifetime,
+// then per-tick membership (size, then object IDs). It returns 0 only for
+// crowds with identical spans and memberships. Snapshot sorts with it, and
+// so does the cluster read path after merging the nodes' answers, so both
+// truncate Query.Limit the same way.
+func CompareCrowds(a, b *crowd.Crowd) int {
+	if a.Start != b.Start {
+		if a.Start < b.Start {
+			return -1
+		}
+		return 1
+	}
+	if la, lb := a.Lifetime(), b.Lifetime(); la != lb {
+		if la < lb {
+			return -1
+		}
+		return 1
+	}
+	aCls, bCls := a.Clusters(), b.Clusters()
+	for i := range aCls {
+		ca, cb := aCls[i], bCls[i]
+		if ca.Len() != cb.Len() {
+			if ca.Len() < cb.Len() {
+				return -1
+			}
+			return 1
+		}
+		for k := range ca.Objects {
+			if ca.Objects[k] != cb.Objects[k] {
+				if ca.Objects[k] < cb.Objects[k] {
+					return -1
+				}
+				return 1
+			}
+		}
+	}
+	return 0
 }

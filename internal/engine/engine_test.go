@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geo"
 	"repro/internal/incremental"
+	"repro/internal/snapshot"
 	"repro/internal/trajectory"
 )
 
@@ -53,14 +54,14 @@ func parkedDB(sites []geo.Point, perSite, ticks int) *trajectory.DB {
 	return db
 }
 
-// TestSingleShardMatchesStore checks that a one-shard engine is exactly
-// the incremental algorithm: same crowds, gatherings and ticks as a
+// TestSingleShardMatchesStore checks that the engine is exactly the
+// incremental algorithm: same crowds, gatherings and ticks as a
 // directly-driven incremental.Store over the same batch sequence.
 func TestSingleShardMatchesStore(t *testing.T) {
 	pipe := testPipeline()
 	batches := testWorkload(t, 200, 96, 4)
 
-	e, err := New(Config{Pipeline: pipe, Shards: 1})
+	e, err := New(Config{Pipeline: pipe, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,55 +98,42 @@ func TestSingleShardMatchesStore(t *testing.T) {
 	if len(res.Crowds) == 0 {
 		t.Fatal("workload produced no crowds; test is vacuous")
 	}
+	compareSigSets(t, gatheringSigs(res.AllGatherings()), gatheringSigs(st.FlatGatherings()))
 }
 
-// TestShardRoutingDeterminism checks that both partitioners are pure:
-// repeated calls agree, and GridCell keeps co-located objects together.
-func TestShardRoutingDeterminism(t *testing.T) {
-	db := parkedDB([]geo.Point{{X: 1000, Y: 1000}, {X: 50000, Y: 50000}}, 10, 4)
-	dom := db.Domain
-	for _, p := range []Partitioner{ObjectHash{}, GridCell{CellSize: 5000}} {
-		seen := make(map[trajectory.ObjectID]int)
-		for round := 0; round < 3; round++ {
-			for i := range db.Trajs {
-				tr := &db.Trajs[i]
-				s := p.Shard(tr, dom, 8)
-				if s < 0 || s >= 8 {
-					t.Fatalf("%s: shard %d out of range", p.Name(), s)
-				}
-				if prev, ok := seen[tr.ID]; ok && prev != s {
-					t.Fatalf("%s: object %d routed to shard %d then %d", p.Name(), tr.ID, prev, s)
-				}
-				seen[tr.ID] = s
+// TestDeterministicAcrossRuns runs the same parallel-build ingest twice
+// and expects identical crowd and gathering sets.
+func TestDeterministicAcrossRuns(t *testing.T) {
+	batches := testWorkload(t, 150, 72, 3)
+	run := func() ([]string, []string) {
+		e, err := New(Config{Pipeline: testPipeline(), Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		for _, b := range batches {
+			if err := e.Append(b); err != nil {
+				t.Fatal(err)
 			}
 		}
+		e.Flush()
+		res := e.Snapshot(Query{})
+		return crowdSigs(res.Crowds), gatheringSigs(res.AllGatherings())
 	}
-
-	// GridCell must agree for all objects parked at one site.
-	g := GridCell{CellSize: 5000}
-	first := g.Shard(&db.Trajs[0], dom, 8)
-	for i := 1; i < 10; i++ {
-		if s := g.Shard(&db.Trajs[i], dom, 8); s != first {
-			t.Fatalf("gridcell split a site across shards: %d vs %d", s, first)
-		}
+	c1, g1 := run()
+	c2, g2 := run()
+	if len(c1) == 0 {
+		t.Fatal("workload produced no crowds; test is vacuous")
 	}
-	// ObjectHash must actually spread objects (not collapse to one shard).
-	h := ObjectHash{}
-	shards := make(map[int]bool)
-	for i := range db.Trajs {
-		shards[h.Shard(&db.Trajs[i], dom, 8)] = true
-	}
-	if len(shards) < 2 {
-		t.Fatalf("objecthash sent all %d objects to one shard", len(db.Trajs))
-	}
+	compareSigSets(t, c2, c1)
+	compareSigSets(t, g2, g1)
 }
 
-// TestConcurrentAppendQuery hammers a multi-shard engine with appends and
-// snapshot queries from many goroutines at once; run with -race.
+// TestConcurrentAppendQuery hammers the engine with appends and snapshot
+// queries from many goroutines at once; run with -race.
 func TestConcurrentAppendQuery(t *testing.T) {
 	batches := testWorkload(t, 200, 96, 8)
-	e, err := New(Config{Pipeline: testPipeline(), Shards: 4, Workers: 4,
-		Partitioner: GridCell{CellSize: 4000}})
+	e, err := New(Config{Pipeline: testPipeline(), Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +202,12 @@ func TestConcurrentAppendQuery(t *testing.T) {
 	}
 }
 
-// TestBackpressure exercises the bounded queue without workers: TryAppend
-// must refuse when full, Append must block, and starting the pool must
-// drain both.
+// TestBackpressure exercises the bounded queue without the applier:
+// TryAppend must refuse when full, Append must block, and starting the
+// applier must drain both.
 func TestBackpressure(t *testing.T) {
 	db := parkedDB([]geo.Point{{X: 1000, Y: 1000}}, 12, 8)
-	e, err := newEngine(Config{Pipeline: testPipeline(), Shards: 1, Workers: 1, QueueDepth: 2})
+	e, err := newEngine(Config{Pipeline: testPipeline(), QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +251,7 @@ func TestBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Append never unblocked after workers started")
+		t.Fatal("Append never unblocked after the applier started")
 	}
 	e.Flush()
 	defer e.Close()
@@ -281,8 +269,7 @@ func TestBackpressure(t *testing.T) {
 func TestQueryFilters(t *testing.T) {
 	sites := []geo.Point{{X: 1000, Y: 1000}, {X: 80000, Y: 80000}}
 	db := parkedDB(sites, 20, 40)
-	e, err := New(Config{Pipeline: testPipeline(), Shards: 4,
-		Partitioner: GridCell{CellSize: 5000}})
+	e, err := New(Config{Pipeline: testPipeline()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +309,19 @@ func TestQueryFilters(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsBadPartitioner checks partitioner validation.
-func TestConfigRejectsBadPartitioner(t *testing.T) {
-	_, err := New(Config{Pipeline: testPipeline(), Partitioner: GridCell{}})
-	if err == nil {
-		t.Fatal("GridCell with zero CellSize accepted")
+// TestConfigValidation checks the defaults and the rejection of
+// negative sizes.
+func TestConfigValidation(t *testing.T) {
+	if err := (Config{Pipeline: testPipeline()}).Validate(); err != nil {
+		t.Fatalf("zero Workers/QueueDepth rejected: %v", err)
+	}
+	for _, cfg := range []Config{
+		{Pipeline: testPipeline(), Workers: -1},
+		{Pipeline: testPipeline(), QueueDepth: -1},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted %+v", cfg)
+		}
 	}
 }
 
@@ -354,30 +349,37 @@ func TestCloseSemantics(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossRuns runs the same sharded ingest twice and
-// expects identical results (ordered appends, pure partitioner).
-func TestDeterministicAcrossRuns(t *testing.T) {
-	batches := testWorkload(t, 150, 72, 3)
-	run := func() (int, int) {
-		e, err := New(Config{Pipeline: testPipeline(), Shards: 3,
-			Partitioner: GridCell{CellSize: 4000}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		for _, b := range batches {
-			if err := e.Append(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e.Flush()
-		res := e.Snapshot(Query{})
-		return len(res.Crowds), len(res.AllGatherings())
+// TestCompareCrowdsOrdering checks the deterministic sort key.
+func TestCompareCrowdsOrdering(t *testing.T) {
+	site := geo.Point{X: 0, Y: 0}
+	early := mkCrowd(0, 4, site, 1, 2)
+	late := mkCrowd(2, 4, site, 1, 2)
+	short := mkCrowd(0, 3, site, 1, 2)
+	other := mkCrowd(0, 4, site, 1, 3)
+	if CompareCrowds(early, late) >= 0 {
+		t.Fatal("earlier start must sort first")
 	}
-	c1, g1 := run()
-	c2, g2 := run()
-	if c1 != c2 || g1 != g2 {
-		t.Fatalf("non-deterministic: run1 (%d crowds, %d gatherings) vs run2 (%d, %d)",
-			c1, g1, c2, g2)
+	if CompareCrowds(short, early) >= 0 {
+		t.Fatal("shorter lifetime must sort first at equal start")
 	}
+	if CompareCrowds(early, other) >= 0 {
+		t.Fatal("smaller member IDs must sort first at equal span")
+	}
+	if CompareCrowds(early, early) != 0 {
+		t.Fatal("a crowd must compare equal to itself")
+	}
+}
+
+// mkCrowd builds a crowd starting at start whose cluster at every tick
+// holds the given members, spread around base.
+func mkCrowd(start trajectory.Tick, ticks int, base geo.Point, ids ...trajectory.ObjectID) *crowd.Crowd {
+	cls := make([]*snapshot.Cluster, 0, ticks)
+	for t := 0; t < ticks; t++ {
+		pts := make([]geo.Point, len(ids))
+		for i, id := range ids {
+			pts[i] = geo.Point{X: base.X + float64(id), Y: base.Y}
+		}
+		cls = append(cls, snapshot.NewCluster(start+trajectory.Tick(t), append([]trajectory.ObjectID(nil), ids...), pts))
+	}
+	return crowd.New(start, cls)
 }

@@ -119,7 +119,9 @@ func (s *Store) Save(w io.Writer) error {
 }
 
 // Load restores a store saved with Save, attaching a fresh searcher
-// factory.
+// factory. Malformed input — truncated, corrupt or hostile — is an error,
+// never a panic: every cluster reference, gathering range and parallel
+// slice length is checked before it is used.
 func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 	var dto storeDTO
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
@@ -127,6 +129,10 @@ func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 	}
 	if dto.Version != persistVersion {
 		return nil, fmt.Errorf("incremental: unsupported store version %d", dto.Version)
+	}
+	if dto.Domain.N != len(dto.Ticks) || len(dto.InteriorGs) != len(dto.Interior) || len(dto.TailGs) != len(dto.Tail) {
+		return nil, fmt.Errorf("incremental: inconsistent store: %d ticks of clusters for a %d-tick domain, %d interior crowds with %d gathering lists, %d tail crowds with %d",
+			len(dto.Ticks), dto.Domain.N, len(dto.Interior), len(dto.InteriorGs), len(dto.Tail), len(dto.TailGs))
 	}
 	s, err := New(dto.CrowdParams, dto.GatherParams, newSearcher)
 	if err != nil {
@@ -139,26 +145,41 @@ func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 	for t, cs := range dto.Ticks {
 		s.cdb.Clusters[t] = make([]*snapshot.Cluster, len(cs))
 		for i, c := range cs {
+			if len(c.Objects) != len(c.Points) {
+				return nil, fmt.Errorf("incremental: cluster %d at tick %d has %d objects but %d points", i, t, len(c.Objects), len(c.Points))
+			}
 			s.cdb.Clusters[t][i] = snapshot.NewCluster(c.T, c.Objects, c.Points)
 		}
 	}
-	decodeCrowd := func(d crowdDTO) (*crowd.Crowd, error) {
+	// A crowd holds one cluster per tick from its start on; a tail crowd
+	// additionally ends at the last tick.
+	decodeCrowd := func(d crowdDTO, tail bool) (*crowd.Crowd, error) {
+		if len(d.Refs) == 0 {
+			return nil, fmt.Errorf("incremental: crowd at tick %d has no clusters", d.Start)
+		}
 		cls := make([]*snapshot.Cluster, len(d.Refs))
 		for i, ref := range d.Refs {
-			if int(ref.Tick) >= len(s.cdb.Clusters) ||
-				int(ref.Index) >= len(s.cdb.Clusters[ref.Tick]) {
-				return nil, fmt.Errorf("incremental: dangling cluster ref %+v", ref)
+			if int64(ref.Tick) != int64(d.Start)+int64(i) ||
+				ref.Tick < 0 || int(ref.Tick) >= len(s.cdb.Clusters) ||
+				ref.Index < 0 || int(ref.Index) >= len(s.cdb.Clusters[ref.Tick]) {
+				return nil, fmt.Errorf("incremental: dangling cluster ref %+v at position %d of a crowd starting at tick %d", ref, i, d.Start)
 			}
 			cls[i] = s.cdb.Clusters[ref.Tick][ref.Index]
 		}
+		if tail && int(d.Refs[len(d.Refs)-1].Tick) != len(s.cdb.Clusters)-1 {
+			return nil, fmt.Errorf("incremental: tail crowd at tick %d ends before the last tick", d.Start)
+		}
 		return crowd.New(d.Start, cls), nil
 	}
-	decodeGathers := func(ds []gatherDTO, cr *crowd.Crowd) []*gathering.Gathering {
+	decodeGathers := func(ds []gatherDTO, cr *crowd.Crowd) ([]*gathering.Gathering, error) {
 		if ds == nil {
-			return nil
+			return nil, nil
 		}
 		out := make([]*gathering.Gathering, len(ds))
 		for i, d := range ds {
+			if d.Lo < 0 || d.Hi > cr.Lifetime() || d.Lo >= d.Hi {
+				return nil, fmt.Errorf("incremental: gathering range [%d,%d) outside crowd of %d clusters", d.Lo, d.Hi, cr.Lifetime())
+			}
 			out[i] = &gathering.Gathering{
 				Crowd:         cr.Sub(d.Lo, d.Hi),
 				Lo:            d.Lo,
@@ -166,25 +187,31 @@ func Load(r io.Reader, newSearcher func() crowd.Searcher) (*Store, error) {
 				Participators: d.Participators,
 			}
 		}
-		return out
+		return out, nil
 	}
 
 	for i, d := range dto.Interior {
-		cr, err := decodeCrowd(d)
+		cr, err := decodeCrowd(d, false)
+		if err != nil {
+			return nil, err
+		}
+		gs, err := decodeGathers(dto.InteriorGs[i], cr)
 		if err != nil {
 			return nil, err
 		}
 		s.interior = append(s.interior, cr)
-		s.interiorGathers = append(s.interiorGathers, decodeGathers(dto.InteriorGs[i], cr))
+		s.interiorGathers = append(s.interiorGathers, gs)
 	}
 	for i, d := range dto.Tail {
-		cr, err := decodeCrowd(d)
+		cr, err := decodeCrowd(d, true)
 		if err != nil {
 			return nil, err
 		}
 		s.tail = append(s.tail, cr)
 		if dto.TailGs[i] != nil {
-			s.tailGathers[cr] = decodeGathers(dto.TailGs[i], cr)
+			if s.tailGathers[cr], err = decodeGathers(dto.TailGs[i], cr); err != nil {
+				return nil, err
+			}
 		}
 	}
 	// Detectors are not serialised: the next Append rebuilds one per

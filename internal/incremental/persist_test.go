@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -99,6 +100,64 @@ func TestSaveLoadThenAppendMatchesUninterrupted(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a gob stream"), gridFactory(1)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestLoadRejectsMalformed: structurally broken checkpoints — the kind a
+// torn write or bit flip produces, since checkpoints carry no checksum —
+// must come back as errors, never as panics or half-built stores.
+func TestLoadRejectsMalformed(t *testing.T) {
+	cp := crowd.Params{MC: 1, KC: 3, Delta: 1.0}
+	gp := gathering.Params{KC: 3, KP: 2, MP: 1}
+	s := newStore(t, cp, gp)
+	s.Append(cdbFromRows(0, figure2Rows()))
+	var saved bytes.Buffer
+	if err := s.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	decode := func() storeDTO {
+		var d storeDTO
+		if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&d); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Interior) == 0 || len(d.Tail) == 0 {
+			t.Fatalf("fixture has %d interior and %d tail crowds, want both", len(d.Interior), len(d.Tail))
+		}
+		return d
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(*storeDTO)
+	}{
+		{"negative ref tick", func(d *storeDTO) { d.Interior[0].Refs[0].Tick = -1 }},
+		{"negative ref index", func(d *storeDTO) { d.Interior[0].Refs[0].Index = -1 }},
+		{"ref past the last tick", func(d *storeDTO) { d.Tail[0].Refs[0].Tick = int32(len(d.Ticks)) }},
+		{"refs not on consecutive ticks", func(d *storeDTO) { d.Interior[0].Start++ }},
+		{"crowd with no clusters", func(d *storeDTO) { d.Interior[0].Refs = nil }},
+		{"InteriorGs shorter than Interior", func(d *storeDTO) { d.InteriorGs = d.InteriorGs[:len(d.InteriorGs)-1] }},
+		{"TailGs shorter than Tail", func(d *storeDTO) { d.TailGs = d.TailGs[:len(d.TailGs)-1] }},
+		{"gathering Hi past its crowd", func(d *storeDTO) {
+			d.InteriorGs[0] = []gatherDTO{{Lo: 0, Hi: len(d.Interior[0].Refs) + 1}}
+		}},
+		{"empty gathering range", func(d *storeDTO) { d.InteriorGs[0] = []gatherDTO{{Lo: 1, Hi: 1}} }},
+		{"objects and points differ in length", func(d *storeDTO) {
+			c := &d.Ticks[d.Interior[0].Refs[0].Tick][d.Interior[0].Refs[0].Index]
+			c.Points = c.Points[:len(c.Points)-1]
+		}},
+		{"domain longer than the cluster ticks", func(d *storeDTO) { d.Domain.N++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := decode()
+			tc.mutate(&d)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&d); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := Load(&buf, gridFactory(cp.Delta)); err == nil {
+				t.Fatalf("Load accepted it: %d ticks, %d crowds", st.Ticks(), len(st.Crowds()))
+			}
+		})
 	}
 }
 

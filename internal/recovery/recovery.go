@@ -1,5 +1,5 @@
 // Package recovery makes the streaming engine durable: it composes the
-// write-ahead log (internal/wal) and the engine's per-shard checkpoints
+// write-ahead log (internal/wal) and the engine's checkpoints
 // (engine.SaveState/LoadState) into a crash-recovery protocol with one
 // invariant — a batch the admission stage released is either in the
 // current checkpoint or in the WAL, so a killed process restores an
@@ -41,9 +41,11 @@ import (
 	"repro/internal/wal"
 )
 
+// ckptVersion 2 holds one store blob after the header; version 1 held a
+// shard count and one length-prefixed blob per shard.
 const (
 	ckptMagic   = "GCKP"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 // Options configure a Manager. Zero-value paths disable the respective

@@ -1,7 +1,10 @@
 package recovery
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -26,14 +29,9 @@ func testPipeline() core.Config {
 	}
 }
 
-func newEngine(t *testing.T, shards int) *engine.Engine {
+func newEngine(t *testing.T) *engine.Engine {
 	t.Helper()
-	pipe := testPipeline()
-	e, err := engine.New(engine.Config{
-		Pipeline:    pipe,
-		Shards:      shards,
-		Partitioner: engine.GridCell{CellSize: 3000, Halo: 4 * pipe.Delta},
-	})
+	e, err := engine.New(engine.Config{Pipeline: testPipeline(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 		t.Fatalf("workload sliced into %d batches, the test plan expects 8", len(batches))
 	}
 
-	base := newEngine(t, 4)
+	base := newEngine(t)
 	defer base.Close()
 	for _, b := range batches {
 		if err := base.Append(b); err != nil {
@@ -137,7 +135,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 	// batch 5 is logged but the process "dies" before applying it — the
 	// worst-case crash window of the write-ahead protocol. No Close: a
 	// crash never closes.
-	e1 := newEngine(t, 4)
+	e1 := newEngine(t)
 	m1, err := Open(e1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +151,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 
 	// Second incarnation: restore + replay (batches 3, 4 from the WAL and
 	// the orphaned 5), then finish the stream and shut down cleanly.
-	e2 := newEngine(t, 4)
+	e2 := newEngine(t)
 	m2, err := Open(e2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +177,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 
 	// Third incarnation: everything is in the final checkpoint, nothing in
 	// the WAL; the state comes back without a single append.
-	e3 := newEngine(t, 4)
+	e3 := newEngine(t)
 	m3, err := Open(e3, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +196,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 // configured is a no-op — gatherserve runs exactly as before when the
 // durability flags are off.
 func TestNoPathsIsPassThrough(t *testing.T) {
-	e := newEngine(t, 2)
+	e := newEngine(t)
 	defer e.Close()
 	m, err := Open(e, Options{})
 	if err != nil {
@@ -214,28 +212,41 @@ func TestNoPathsIsPassThrough(t *testing.T) {
 	}
 }
 
-// TestShardCountMismatch: restoring a checkpoint into an engine with a
-// different -shards must fail loudly instead of guessing.
-func TestShardCountMismatch(t *testing.T) {
+// TestV1CheckpointRefused: a checkpoint in the version-1 layout (a
+// shard count, then one length-prefixed store blob per shard) must be
+// refused at startup with a version error instead of being misread.
+func TestV1CheckpointRefused(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{CheckpointPath: filepath.Join(dir, "ckpt")}
-	batches := workload(t)
 
-	e1 := newEngine(t, 2)
-	m1, err := Open(e1, opts)
-	if err != nil {
-		t.Fatal(err)
+	e1 := newEngine(t)
+	for _, b := range workload(t)[:2] {
+		if err := e1.Append(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	feed(t, m1, e1, batches, 0, 2)
-	if err := m1.Close(); err != nil {
+	e1.Flush()
+	var blob bytes.Buffer
+	if err := e1.SaveState(&blob); err != nil {
 		t.Fatal(err)
 	}
 	e1.Close()
 
-	e2 := newEngine(t, 4)
+	var v1 bytes.Buffer
+	v1.WriteString(ckptMagic)
+	binary.Write(&v1, binary.LittleEndian, uint32(1))          // version
+	binary.Write(&v1, binary.LittleEndian, uint64(2))          // next sequence
+	binary.Write(&v1, binary.LittleEndian, uint32(1))          // shard count
+	binary.Write(&v1, binary.LittleEndian, uint64(blob.Len())) // blob size
+	v1.Write(blob.Bytes())
+	if err := os.WriteFile(opts.CheckpointPath, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newEngine(t)
 	defer e2.Close()
-	if _, err := Open(e2, opts); err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("Open with mismatched shard count: err = %v, want a -shards complaint", err)
+	if _, err := Open(e2, opts); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Open over a version-1 checkpoint: err = %v, want a version complaint", err)
 	}
 }
 
@@ -243,7 +254,7 @@ func TestShardCountMismatch(t *testing.T) {
 // skip is a caller bug and must error, not corrupt the log.
 func TestLogOutOfOrder(t *testing.T) {
 	dir := t.TempDir()
-	e := newEngine(t, 2)
+	e := newEngine(t)
 	defer e.Close()
 	m, err := Open(e, Options{WALPath: filepath.Join(dir, "wal")})
 	if err != nil {
@@ -267,7 +278,7 @@ func TestWALPredatingCheckpoint(t *testing.T) {
 	}
 	batches := workload(t)
 
-	e1 := newEngine(t, 2)
+	e1 := newEngine(t)
 	m1, err := Open(e1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +302,7 @@ func TestWALPredatingCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2 := newEngine(t, 2)
+	e2 := newEngine(t)
 	defer e2.Close()
 	if _, err := Open(e2, opts); err == nil || !strings.Contains(err.Error(), "jumps") {
 		t.Fatalf("Open over a mismatched WAL: err = %v, want a sequence-jump complaint", err)

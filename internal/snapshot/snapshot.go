@@ -21,10 +21,10 @@ import (
 // slices; Objects is sorted ascending so membership tests are binary
 // searches and set operations are linear merges.
 //
-// Clusters are shared, not copied: every crowd that covers the tick and
-// every shard whose halo overlaps the cluster holds the same pointer.
+// Clusters are shared, not copied: every crowd that covers the tick, and
+// every snapshot answer holding such a crowd, holds the same pointer.
 //
-//gather:immutable — routed across shards and referenced by crowds
+//gather:immutable — referenced by crowds and snapshot answers
 type Cluster struct {
 	T       trajectory.Tick
 	Objects []trajectory.ObjectID

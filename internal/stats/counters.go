@@ -8,48 +8,36 @@ import (
 
 // EngineCounters are the live activity counters of the streaming engine:
 // how much work entered the ingest queue, how much has been applied to the
-// shards, and what the query side is reading back. All fields are atomic,
-// so the engine's workers and query handlers update them without locks;
+// store, and what the query side is reading back. All fields are atomic,
+// so the engine's applier and query handlers update them without locks;
 // read a consistent-enough view with Snapshot.
 type EngineCounters struct {
 	// Ingest side.
 	BatchesEnqueued atomic.Uint64 // Append/TryAppend calls accepted
 	BatchesRejected atomic.Uint64 // TryAppend calls refused by a full queue
-	TasksApplied    atomic.Uint64 // per-shard sub-batches applied to a store
+	TasksApplied    atomic.Uint64 // batches applied to the store (or discarded while quarantined)
 	TicksIngested   atomic.Uint64 // ticks appended (counted once per batch)
 	ClustersBuilt   atomic.Uint64 // snapshot clusters produced while ingesting
-	// ObjectsReplicated counts halo replica deliveries at object
-	// granularity. Its unit depends on the ingest mode: under cluster-once
-	// routing it advances once per (object, extra shard, tick) — each
-	// replicated cluster view counts its members — while the legacy
-	// trajectory fan-out advances once per (object, extra shard) per
-	// batch, so values from the two modes differ by roughly the ticks per
-	// batch and are not comparable.
-	ObjectsReplicated atomic.Uint64
-	// ClustersReplicated counts cluster views delivered to shards beyond the
-	// owner by the cluster-once ingest pipeline. Unlike ClustersBuilt it
-	// scales with the replication factor; their ratio is the halo overhead.
+
+	// ObjectsReplicated, ClustersReplicated, CrowdsDeduped and
+	// CrowdsStitched counted the work of the removed in-process shard
+	// replication and query-time merge. Nothing advances them; they stay
+	// only because the replay benchmark still reads them.
+	ObjectsReplicated  atomic.Uint64
 	ClustersReplicated atomic.Uint64
+	CrowdsDeduped      atomic.Uint64
+	CrowdsStitched     atomic.Uint64
 
 	// Query side.
 	Queries            atomic.Uint64 // snapshot queries served
 	CrowdsReturned     atomic.Uint64 // crowds returned across all queries
 	GatheringsReturned atomic.Uint64 // gatherings returned across all queries
-	// CrowdsDeduped and CrowdsStitched advance when the cross-shard merge
-	// recomputes — once per applied sub-batch, not per query (the merged
-	// state is memoized between applies) — so they track replication
-	// activity, not query rate.
-	CrowdsDeduped  atomic.Uint64 // duplicate/partial boundary-crowd copies dropped by the snapshot merge
-	CrowdsStitched atomic.Uint64 // crowd fragments fused into cross-shard crowds by the snapshot merge
 
-	// Fault side. A panic while applying a sub-batch to a shard's store is
-	// recovered by the worker instead of taking the process down: the shard
-	// is quarantined — its store is no longer trusted, later sub-batches
-	// are discarded, snapshots skip it — until a checkpoint restore
-	// replaces it. Both counters advancing means data loss is bounded to
-	// the quarantined shards, never silent.
-	ApplyPanics       atomic.Uint64 // panics recovered in the shard-apply path
-	ShardsQuarantined atomic.Uint64 // shards retired by a recovered apply panic
+	// Fault side. A panic while applying a batch to the store is recovered
+	// instead of taking the process down: the store is quarantined — later
+	// batches are discarded, snapshots answer nothing, checkpoints refuse —
+	// until a checkpoint restore replaces it.
+	ApplyPanics atomic.Uint64 // panics recovered in the store-apply path
 }
 
 // EngineCounterSnapshot is a point-in-time copy of EngineCounters.
@@ -67,7 +55,6 @@ type EngineCounterSnapshot struct {
 	CrowdsDeduped      uint64
 	CrowdsStitched     uint64
 	ApplyPanics        uint64
-	ShardsQuarantined  uint64
 }
 
 // Snapshot reads every counter once. Counters advance independently, so
@@ -88,7 +75,6 @@ func (c *EngineCounters) Snapshot() EngineCounterSnapshot {
 		CrowdsDeduped:      c.CrowdsDeduped.Load(),
 		CrowdsStitched:     c.CrowdsStitched.Load(),
 		ApplyPanics:        c.ApplyPanics.Load(),
-		ShardsQuarantined:  c.ShardsQuarantined.Load(),
 	}
 }
 
@@ -96,18 +82,13 @@ func (c *EngineCounters) Snapshot() EngineCounterSnapshot {
 func (s EngineCounterSnapshot) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "batches enqueued:    %d\n", s.BatchesEnqueued)
 	fmt.Fprintf(w, "batches rejected:    %d\n", s.BatchesRejected)
-	fmt.Fprintf(w, "shard tasks applied: %d\n", s.TasksApplied)
+	fmt.Fprintf(w, "batches applied:     %d\n", s.TasksApplied)
 	fmt.Fprintf(w, "ticks ingested:      %d\n", s.TicksIngested)
 	fmt.Fprintf(w, "clusters built:      %d\n", s.ClustersBuilt)
-	fmt.Fprintf(w, "objects replicated:  %d\n", s.ObjectsReplicated)
-	fmt.Fprintf(w, "clusters replicated: %d\n", s.ClustersReplicated)
 	fmt.Fprintf(w, "queries served:      %d\n", s.Queries)
 	fmt.Fprintf(w, "crowds returned:     %d\n", s.CrowdsReturned)
 	fmt.Fprintf(w, "gatherings returned: %d\n", s.GatheringsReturned)
-	fmt.Fprintf(w, "crowds deduped:      %d\n", s.CrowdsDeduped)
-	fmt.Fprintf(w, "crowds stitched:     %d\n", s.CrowdsStitched)
 	fmt.Fprintf(w, "apply panics:        %d\n", s.ApplyPanics)
-	fmt.Fprintf(w, "shards quarantined:  %d\n", s.ShardsQuarantined)
 }
 
 // ResilienceCounters are the live counters of the streaming-resilience
@@ -130,7 +111,7 @@ type ResilienceCounters struct {
 	TicksDropped     atomic.Uint64 // ticks carried by late/abandoned batches, lost to the stores
 
 	// Durability side.
-	CheckpointsWritten atomic.Uint64 // per-shard checkpoint files committed (written, synced, renamed)
+	CheckpointsWritten atomic.Uint64 // checkpoint files committed (written, synced, renamed)
 	WALReplayed        atomic.Uint64 // batches re-applied from the write-ahead log at startup
 }
 
