@@ -3,33 +3,20 @@
 // under sharing — sharedmut, detachcheck, lockcheck, lockorder,
 // leakcheck, hotalloc and racecheck (see docs/INVARIANTS.md).
 //
-// It runs two ways:
+// It runs only as a go vet tool:
 //
-//	go vet -vettool=$(pwd)/bin/gatherlint ./...        # unitchecker protocol
-//	gatherlint [-json] [-tags list] [-baseline file] ./...   # standalone
+//	go vet -vettool=$(pwd)/bin/gatherlint ./...
 //
-// In vettool mode go vet drives it once per package with a vet.cfg
-// describing the type-checked unit (export data of every dependency
-// included), and //gather:* annotations plus per-function summary facts
-// (locks acquired, calls made while holding them, field accesses with
-// their must-hold sets, allocation sites, goroutine termination,
-// attached-crowd flow) travel between packages as fact files. Standalone
-// mode resolves the same information itself through `go list -export
-// -deps`, type-checking the whole in-module import graph in dependency
-// order; the go list child honours GOFLAGS from the environment, and
-// -tags adds build tags the same way `go build -tags` would, so
-// tag-gated files are analysed under the constraints they compile
-// under. Both are built on the standard library alone: the container
-// this repo grows in has no module proxy, so the x/tools unitchecker
-// cannot be imported — its protocol is reimplemented in vetcfg.go /
-// standalone.go.
-//
-// With -json (standalone mode only) the findings — including any
-// machine-applicable suggested fixes — and every //lint:allow waiver
-// are written to stdout as one JSON report for CI artifacts. With
-// -baseline the report of a previous -json run is treated as accepted
-// debt: only diagnostics not present in the baseline count toward the
-// exit status (CI fails on new findings, not inherited ones).
+// go vet drives it once per package with a vet.cfg describing the
+// type-checked unit (export data of every dependency included), and
+// //gather:* annotations plus per-function summary facts (locks
+// acquired, calls made while holding them, field accesses with their
+// must-hold sets, allocation sites, goroutine termination,
+// attached-crowd flow) travel between packages as fact files. Package
+// loading, build tags (-tags, GOFLAGS) and test variants are go vet's.
+// The tool is built on the standard library alone: the x/tools
+// unitchecker is not a dependency, so its protocol is reimplemented in
+// vetcfg.go.
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics found.
 package main
@@ -61,50 +48,26 @@ var analyzers = []*framework.Analyzer{
 }
 
 func main() {
-	args := os.Args[1:]
-	jsonOut := false
-	tags, baseline := "", ""
-flags:
-	for len(args) > 0 {
-		switch {
-		case args[0] == "-json":
-			jsonOut = true
-			args = args[1:]
-		case args[0] == "-tags" && len(args) > 1:
-			tags = args[1]
-			args = args[2:]
-		case strings.HasPrefix(args[0], "-tags="):
-			tags = strings.TrimPrefix(args[0], "-tags=")
-			args = args[1:]
-		case args[0] == "-baseline" && len(args) > 1:
-			baseline = args[1]
-			args = args[2:]
-		case strings.HasPrefix(args[0], "-baseline="):
-			baseline = strings.TrimPrefix(args[0], "-baseline=")
-			args = args[1:]
-		default:
-			break flags
-		}
-	}
-	if len(args) == 0 {
-		usage()
-		os.Exit(1)
+	arg := ""
+	if len(os.Args) > 1 {
+		arg = os.Args[1]
 	}
 	switch {
-	case strings.HasPrefix(args[0], "-V"):
+	case strings.HasPrefix(arg, "-V"):
 		// go vet fingerprints the tool for its action cache.
 		printVersion()
-	case args[0] == "-flags":
+	case arg == "-flags":
 		// go vet probes for tool-specific flags; gatherlint has none.
 		fmt.Println("[]")
-	case args[0] == "help" || args[0] == "-h" || args[0] == "--help":
+	case arg == "help" || arg == "-h" || arg == "--help":
 		usage()
-	case strings.HasSuffix(args[0], ".cfg"):
-		// Unitchecker mode: one vet.cfg per package, exit 2 on findings.
-		os.Exit(runVetCfg(args[0]))
+	case strings.HasSuffix(arg, ".cfg"):
+		// One vet.cfg per package, exit 2 on findings.
+		os.Exit(runVetCfg(arg))
 	default:
-		// Standalone mode over package patterns.
-		os.Exit(runStandalone(args, jsonOut, tags, baseline))
+		// No argument, or a package pattern: go vet is the only driver.
+		usage()
+		os.Exit(1)
 	}
 }
 
@@ -118,18 +81,7 @@ hot-path invariants:
 	}
 	fmt.Fprintf(os.Stderr, `
 usage:
-  gatherlint [-json] [-tags list] [-baseline file] ./...   standalone
-  go vet -vettool=/path/to/gatherlint ./...   as a vet tool (CI mode)
-
--json writes findings (with machine-applicable suggested fixes where
-the analyzer computed one) and //lint:allow waivers to stdout as a
-JSON report instead of vet-style text.
-
--tags adds build tags to the go list package resolution, like
-`+"`go build -tags`"+`; GOFLAGS from the environment is honoured too.
-
--baseline treats the diagnostics of a previous -json report as
-accepted: only new findings affect the exit status.
+  go vet [-tags list] -vettool=/path/to/gatherlint ./...
 
 Findings are suppressed line-by-line with
   //lint:allow <analyzer> <reason why this is safe>

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,39 +18,21 @@ func TestVettoolCleanOverRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the module and vets every package; skipped with -short")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tool := filepath.Join(t.TempDir(), "gatherlint")
-	build := exec.Command("go", "build", "-o", tool, "./cmd/gatherlint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building gatherlint: %v\n%s", err, out)
-	}
-
-	var out bytes.Buffer
-	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	vet.Dir = root
-	vet.Stdout = &out
-	vet.Stderr = &out
-	if err := vet.Run(); err != nil {
-		t.Errorf("go vet -vettool=gatherlint ./... failed: %v\n%s", err, out.String())
+	if code, out := vet(t, buildTool(t), repoRoot, nil); code != 0 {
+		t.Errorf("go vet -vettool=gatherlint ./... failed: exit %d\n%s", code, out)
 	}
 }
+
+// repoRoot is the module root, relative to this package's directory.
+const repoRoot = "../.."
 
 // buildTool compiles the gatherlint binary into a test temp dir and
 // returns its path.
 func buildTool(t *testing.T) string {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
 	tool := filepath.Join(t.TempDir(), "gatherlint")
 	build := exec.Command("go", "build", "-o", tool, "./cmd/gatherlint")
-	build.Dir = root
+	build.Dir = repoRoot
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building gatherlint: %v\n%s", err, out)
 	}
@@ -72,107 +53,70 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 	}
 }
 
-// TestStandaloneFindsViolations checks the go-list driver end to end: a
-// throwaway module with a sharedmut violation must produce a diagnostic
-// and exit status 2.
-func TestStandaloneFindsViolations(t *testing.T) {
+// vet runs `go vet [args] -vettool=tool ./...` in dir with env appended
+// to the environment, returning the exit code and combined output.
+func vet(t *testing.T, tool, dir string, env []string, args ...string) (int, string) {
+	t.Helper()
+	var out bytes.Buffer
+	cmd := exec.Command("go", append(append([]string{"vet"}, args...), "-vettool="+tool, "./...")...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), env...)
+	cmd.Stdout = &out
+	cmd.Stderr = &out
+	err := cmd.Run()
+	if err == nil {
+		return 0, out.String()
+	}
+	exit, ok := err.(*exec.ExitError)
+	if !ok {
+		t.Fatalf("go vet %v: %v\n%s", args, err, out.String())
+	}
+	return exit.ExitCode(), out.String()
+}
+
+// TestVettoolFindsViolations checks the driver end to end on a
+// throwaway two-package module: the immutable type is declared in imm
+// and written in use, so the finding needs imm's //gather:immutable
+// annotation to reach use through its .vetx fact file.
+func TestVettoolFindsViolations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns go list and the typechecker; skipped with -short")
+		t.Skip("builds gatherlint and runs go vet; skipped with -short")
 	}
 	tool := buildTool(t)
 
 	dir := t.TempDir()
-	write := func(name, src string) {
-		t.Helper()
-		writeTree(t, dir, map[string]string{name: src})
-	}
-	write("go.mod", "module lintprobe\n\ngo 1.22\n")
-	write("imm/imm.go", `package imm
+	writeTree(t, dir, map[string]string{
+		"go.mod": "module lintprobe\n\ngo 1.22\n",
+		"imm/imm.go": `package imm
 
 //gather:immutable
 type Shared struct{ N int }
-`)
-	write("use/use.go", `package use
+`,
+		"use/use.go": `package use
 
 import "lintprobe/imm"
 
 func Mutate(s *imm.Shared) { s.N = 1 }
-`)
+`,
+	})
 
-	var out bytes.Buffer
-	cmd := exec.Command(tool, "./...")
-	cmd.Dir = dir
-	cmd.Stdout = &out
-	cmd.Stderr = &out
-	err := cmd.Run()
-	exit, ok := err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 2 {
-		t.Fatalf("gatherlint ./... : err = %v, want exit status 2\n%s", err, out.String())
+	code, out := vet(t, tool, dir, nil)
+	if code == 0 {
+		t.Fatalf("go vet -vettool=gatherlint ./... exited 0, want a failure\n%s", out)
 	}
-	if !bytes.Contains(out.Bytes(), []byte("[sharedmut]")) ||
-		!bytes.Contains(out.Bytes(), []byte("write to field N of immutable lintprobe/imm.Shared")) {
-		t.Errorf("missing sharedmut diagnostic in output:\n%s", out.String())
-	}
-
-	// -json mode over the same module: the finding becomes a structured
-	// record on stdout, and the waived lock edge shows up under waivers
-	// with its reason.
-	write("use/waived.go", `package use
-
-import "sync"
-
-var mu sync.Mutex
-var ch = make(chan int, 1)
-
-func send() {
-	mu.Lock()
-	defer mu.Unlock()
-	ch <- 1 //lint:allow lockcheck buffered probe channel, the send cannot block
-}
-`)
-	var jout, jerr bytes.Buffer
-	jcmd := exec.Command(tool, "-json", "./...")
-	jcmd.Dir = dir
-	jcmd.Stdout = &jout
-	jcmd.Stderr = &jerr
-	err = jcmd.Run()
-	exit, ok = err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 2 {
-		t.Fatalf("gatherlint -json ./... : err = %v, want exit status 2\n%s%s", err, jout.String(), jerr.String())
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(jout.Bytes(), &rep); err != nil {
-		t.Fatalf("parsing -json output: %v\n%s", err, jout.String())
-	}
-	foundDiag := false
-	for _, d := range rep.Diagnostics {
-		if d.Analyzer == "sharedmut" && d.Line == 5 && filepath.Base(d.File) == "use.go" {
-			foundDiag = true
-		}
-	}
-	if !foundDiag {
-		t.Errorf("missing sharedmut record in JSON report: %+v", rep.Diagnostics)
-	}
-	foundWaiver := false
-	for _, w := range rep.Waivers {
-		if w.Analyzer == "lockcheck" && w.Reason == "buffered probe channel, the send cannot block" {
-			foundWaiver = true
-		}
-	}
-	if !foundWaiver {
-		t.Errorf("missing lockcheck waiver record in JSON report: %+v", rep.Waivers)
+	if !strings.Contains(out, "[sharedmut] write to field N of immutable lintprobe/imm.Shared") {
+		t.Errorf("missing sharedmut diagnostic in output:\n%s", out)
 	}
 }
 
-// TestStandaloneBuildTags checks that the standalone driver resolves
-// build constraints the way `go build` would: a `//go:build probe` file
-// whose code only typechecks against another probe-gated file is
-// ignored without the tag, analysed (and its violation reported) with
-// `-tags probe`, and equally with `GOFLAGS=-tags=probe` from the
-// environment.
-func TestStandaloneBuildTags(t *testing.T) {
+// TestVettoolBuildTags checks that build constraints reach the analysis
+// the way they reach `go build`: a `//go:build probe` file whose code
+// only typechecks against another probe-gated file is ignored without
+// the tag, analysed (and its violation reported) with `go vet -tags
+// probe`, and equally with `GOFLAGS=-tags=probe` from the environment.
+func TestVettoolBuildTags(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns go list and the typechecker; skipped with -short")
+		t.Skip("builds gatherlint and runs go vet; skipped with -short")
 	}
 	tool := buildTool(t)
 
@@ -210,132 +154,34 @@ var probeVal = 2
 `,
 	})
 
-	run := func(env []string, args ...string) (int, string) {
-		t.Helper()
-		var out bytes.Buffer
-		cmd := exec.Command(tool, args...)
-		cmd.Dir = dir
-		cmd.Env = append(os.Environ(), env...)
-		cmd.Stdout = &out
-		cmd.Stderr = &out
-		err := cmd.Run()
-		if err == nil {
-			return 0, out.String()
-		}
-		exit, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("gatherlint %v: %v\n%s", args, err, out.String())
-		}
-		return exit.ExitCode(), out.String()
-	}
-
-	if code, out := run(nil, "./..."); code != 0 {
+	if code, out := vet(t, tool, dir, nil); code != 0 {
 		t.Errorf("without tags: exit %d, want 0 (probe files excluded)\n%s", code, out)
 	}
-	if code, out := run(nil, "-tags", "probe", "./..."); code != 2 ||
+	if code, out := vet(t, tool, dir, nil, "-tags", "probe"); code == 0 ||
 		!strings.Contains(out, "[sharedmut]") {
-		t.Errorf("-tags probe: exit %d, want 2 with a sharedmut finding\n%s", code, out)
+		t.Errorf("-tags probe: exit %d, want a failure with a sharedmut finding\n%s", code, out)
 	}
-	if code, out := run([]string{"GOFLAGS=-tags=probe"}, "./..."); code != 2 ||
+	if code, out := vet(t, tool, dir, []string{"GOFLAGS=-tags=probe"}); code == 0 ||
 		!strings.Contains(out, "[sharedmut]") {
-		t.Errorf("GOFLAGS=-tags=probe: exit %d, want 2 with a sharedmut finding\n%s", code, out)
+		t.Errorf("GOFLAGS=-tags=probe: exit %d, want a failure with a sharedmut finding\n%s", code, out)
 	}
 }
 
-// TestStandaloneBaseline checks the accepted-debt flow: a -json report
-// committed as baseline absorbs the findings it lists (exit 0, records
-// marked baselined), while a new finding — even one identical to a
-// baselined one, once the baseline's count for the key is spent —
-// still fails the run.
-func TestStandaloneBaseline(t *testing.T) {
+// TestPatternPrintsUsage checks that a package pattern is not a mode of
+// its own: gatherlint runs only under go vet, so it prints usage and
+// exits 1.
+func TestPatternPrintsUsage(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns go list and the typechecker; skipped with -short")
+		t.Skip("builds gatherlint; skipped with -short")
 	}
-	tool := buildTool(t)
-
-	dir := t.TempDir()
-	writeTree(t, dir, map[string]string{
-		"go.mod": "module baseprobe\n\ngo 1.22\n",
-		"imm/imm.go": `package imm
-
-//gather:immutable
-type Shared struct{ N int }
-`,
-		"use/use.go": `package use
-
-import "baseprobe/imm"
-
-func Mutate(s *imm.Shared) { s.N = 1 }
-`,
-	})
-
-	runJSON := func(args ...string) (int, jsonReport, string) {
-		t.Helper()
-		var out, errb bytes.Buffer
-		cmd := exec.Command(tool, append([]string{"-json"}, args...)...)
-		cmd.Dir = dir
-		cmd.Stdout = &out
-		cmd.Stderr = &errb
-		err := cmd.Run()
-		code := 0
-		if err != nil {
-			exit, ok := err.(*exec.ExitError)
-			if !ok {
-				t.Fatalf("gatherlint -json %v: %v\n%s", args, err, errb.String())
-			}
-			code = exit.ExitCode()
-		}
-		var rep jsonReport
-		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-			t.Fatalf("parsing -json output: %v\n%s", err, out.String())
-		}
-		return code, rep, errb.String()
+	var out bytes.Buffer
+	cmd := exec.Command(buildTool(t), "./...")
+	cmd.Stderr = &out
+	err := cmd.Run()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Fatalf("gatherlint ./...: err = %v, want exit status 1", err)
 	}
-
-	code, rep, _ := runJSON("./...")
-	if code != 2 || len(rep.Diagnostics) != 1 {
-		t.Fatalf("initial run: exit %d with %d diagnostics, want 2 with 1", code, len(rep.Diagnostics))
-	}
-	baseline := filepath.Join(dir, "baseline.json")
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(baseline, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same tree against its own report: everything inherited, exit 0.
-	code, rep, _ = runJSON("-baseline", baseline, "./...")
-	if code != 0 {
-		t.Errorf("baselined run: exit %d, want 0", code)
-	}
-	if len(rep.Diagnostics) != 1 || !rep.Diagnostics[0].Baselined {
-		t.Errorf("baselined run: diagnostics = %+v, want the one finding marked baselined", rep.Diagnostics)
-	}
-
-	// A second identical violation in the same file exhausts the
-	// baseline's count for the key: the extra finding is new.
-	writeTree(t, dir, map[string]string{"use/use.go": `package use
-
-import "baseprobe/imm"
-
-func Mutate(s *imm.Shared) { s.N = 1 }
-
-func MutateAgain(s *imm.Shared) { s.N = 1 }
-`})
-	code, rep, _ = runJSON("-baseline", baseline, "./...")
-	if code != 2 {
-		t.Errorf("run with a new finding: exit %d, want 2", code)
-	}
-	newCount := 0
-	for _, d := range rep.Diagnostics {
-		if !d.Baselined {
-			newCount++
-		}
-	}
-	if len(rep.Diagnostics) != 2 || newCount != 1 {
-		t.Errorf("run with a new finding: %d diagnostics (%d new), want 2 with exactly 1 new: %+v",
-			len(rep.Diagnostics), newCount, rep.Diagnostics)
+	if !strings.Contains(out.String(), "go vet [-tags list] -vettool=") {
+		t.Errorf("missing usage text in output:\n%s", out.String())
 	}
 }

@@ -12,7 +12,7 @@
 //	            [-checkpoint-every 16] [-wal-sync always]
 //	            [-cluster map.json -node a] [-forward-deadline 30s]
 //	            [-attempt-timeout 2s] [-breaker-threshold 5]
-//	            [-breaker-cooldown 3s] [-hedge 0]
+//	            [-breaker-cooldown 3s]
 //	            [-retry-seed 0] [-ingest-retry-for 2m]
 //	            [-addr :8080] [-oneshot] [-pprof]
 //
@@ -141,7 +141,6 @@ func main() {
 		attemptTO  = flag.Duration("attempt-timeout", 2*time.Second, "timeout of a single cluster HTTP attempt")
 		brkThresh  = flag.Int("breaker-threshold", 5, "consecutive peer failures that open its circuit breaker")
 		brkCool    = flag.Duration("breaker-cooldown", 3*time.Second, "how long an open breaker waits before a half-open probe")
-		hedge      = flag.Duration("hedge", 0, "hedged-read delay for scatter-gather queries: a second request launches if the first has not answered within this (0 = no hedging)")
 
 		retrySeed = flag.Int64("retry-seed", 0, "seed for retry jitter; any fixed value makes backoff schedules replayable")
 		retryFor  = flag.Duration("ingest-retry-for", 2*time.Minute, "total wall-time budget for retrying one batch into a backlogged engine (0 = retry forever)")
@@ -246,7 +245,6 @@ func main() {
 			ForwardDeadline:  *fwdDL,
 			BreakerThreshold: *brkThresh,
 			BreakerCooldown:  *brkCool,
-			Hedge:            *hedge,
 			Seed:             *retrySeed,
 			Logf:             log.Printf,
 		})

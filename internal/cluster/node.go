@@ -54,7 +54,6 @@ type NodeConfig struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	QueueDepth       int
-	Hedge            time.Duration
 	Seed             int64
 	Logf             func(format string, args ...any)
 }
@@ -118,7 +117,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			AttemptTimeout:   cfg.AttemptTimeout,
 			ForwardDeadline:  cfg.ForwardDeadline,
 			QueueDepth:       cfg.QueueDepth,
-			Hedge:            cfg.Hedge,
 			Seed:             cfg.Seed,
 			Logf:             cfg.Logf,
 		})

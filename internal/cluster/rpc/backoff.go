@@ -1,7 +1,7 @@
 // Package rpc is the cluster's HTTP data plane: a per-peer client that
 // forwards ingest sub-batches with per-request deadlines, capped
 // exponential backoff with seeded jitter and a circuit breaker, plus
-// hedged scatter-gather reads — the retry/timeout machinery a cluster of
+// the scatter-gather reads — the retry/timeout machinery a cluster of
 // gatherserve nodes needs to survive each other's failures.
 package rpc
 

@@ -50,7 +50,7 @@ type PeerConfig struct {
 	MapVersion int
 	// Client is the HTTP client to use; nil gets a private one.
 	Client *http.Client
-	// Counters receives forward/breaker/hedge counts; nil counts into a
+	// Counters receives forward/breaker counts; nil counts into a
 	// private sink.
 	Counters *stats.ClusterCounters
 	// BreakerThreshold consecutive failures open the circuit breaker;
@@ -68,9 +68,6 @@ type PeerConfig struct {
 	// queue is full Forward blocks: backpressure reaches the ingest loop
 	// rather than growing memory without bound.
 	QueueDepth int
-	// Hedge, when positive, launches a second identical Get request if the
-	// first has not answered within this delay; the first success wins.
-	Hedge time.Duration
 	// Seed seeds the retry-jitter generator (testability; 0 is fine).
 	Seed int64
 	// Logf receives drop and breaker-transition messages; nil discards.
@@ -84,7 +81,7 @@ type forwardItem struct {
 
 // Peer is the client side of one remote node: an ordered forwarding queue
 // drained by a single goroutine with retry, backoff and a circuit
-// breaker, plus hedged reads for the scatter-gather query path.
+// breaker, plus single-attempt reads for the scatter-gather query path.
 //
 // Forward delivery is strictly in sequence order per peer — a later item
 // is not attempted until the earlier one is delivered or dropped — which
@@ -227,11 +224,8 @@ func (p *Peer) post(it forwardItem) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// Get fetches pathAndQuery from the peer, optionally hedged: when
-// PeerConfig.Hedge is positive and the first request has not answered
-// within that delay, a second identical request launches and the first
-// success wins (tail-latency insurance for scatter-gather reads — one
-// slow replica must not pin the whole query on its timeout). Fails fast
+// Get fetches pathAndQuery from the peer in one attempt bounded by
+// AttemptTimeout and reports the outcome to the breaker. Fails fast
 // with ErrBreakerOpen while the breaker refuses the peer.
 func (p *Peer) Get(ctx context.Context, pathAndQuery string) ([]byte, error) {
 	if !p.breaker.Allow() {
@@ -239,57 +233,9 @@ func (p *Peer) Get(ctx context.Context, pathAndQuery string) ([]byte, error) {
 	}
 	actx, cancel := context.WithTimeout(ctx, p.cfg.AttemptTimeout)
 	defer cancel()
-
-	type result struct {
-		body  []byte
-		err   error
-		hedge bool
-	}
-	results := make(chan result, 2) // both senders can always finish
-	launch := func(hedge bool) {
-		go func() {
-			body, err := p.get(actx, pathAndQuery)
-			results <- result{body: body, err: err, hedge: hedge}
-		}()
-	}
-	launch(false)
-	pending := 1
-
-	var hedgeAt <-chan time.Time
-	if p.cfg.Hedge > 0 {
-		t := time.NewTimer(p.cfg.Hedge)
-		defer t.Stop()
-		hedgeAt = t.C
-	}
-
-	var firstErr error
-	for {
-		select {
-		case <-hedgeAt:
-			hedgeAt = nil
-			p.counters.HedgesLaunched.Add(1)
-			launch(true)
-			pending++
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				if r.hedge {
-					p.counters.HedgeWins.Add(1)
-				}
-				p.breaker.Report(true)
-				return r.body, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if pending == 0 {
-				// Even with the hedge timer still unfired: hedging an
-				// already-failed request would just repeat the failure.
-				p.breaker.Report(false)
-				return nil, firstErr
-			}
-		}
-	}
+	body, err := p.get(actx, pathAndQuery)
+	p.breaker.Report(err == nil)
+	return body, err
 }
 
 // get performs one GET attempt.
