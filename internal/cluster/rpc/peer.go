@@ -15,7 +15,10 @@ import (
 // HTTP surface of the cluster data plane, shared by client and server.
 const (
 	// ForwardPath accepts one ingest sub-batch (a WAL record payload:
-	// seq | domain | trajectories) by POST.
+	// seq | domain | trajectories) by POST. Each trajectory carries the
+	// window's samples plus the two bracketing samples, exact because
+	// interpolation reads only those, so a forward costs the batch, not
+	// the stream history.
 	ForwardPath = "/cluster/forward"
 	// LocalPath answers GET with the node's full unfiltered local crowd
 	// set in the gob wire format.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -45,7 +46,10 @@ func workload(t *testing.T) []*trajectory.DB {
 }
 
 func sigs(e *engine.Engine) []string {
-	gs := e.Snapshot(engine.Query{}).AllGatherings()
+	return gatheringSigs(e.Snapshot(engine.Query{}).AllGatherings())
+}
+
+func gatheringSigs(gs []*gathering.Gathering) []string {
 	out := make([]string, 0, len(gs))
 	for _, g := range gs {
 		out = append(out, fmt.Sprintf("%d-%d:%v", g.Crowd.Start, g.Crowd.End(), g.Participators))
@@ -96,8 +100,6 @@ func feed(t *testing.T, m *Manager, e *engine.Engine, batches []*trajectory.DB, 
 		}
 	}
 }
-
-var _ = gathering.Gathering{} // keep the import tied to the sig format
 
 // TestCrashRecoveryParity is the ISSUE's kill-and-restore test: a process
 // killed mid-stream (checkpoint behind, tail of the stream only in the
@@ -306,5 +308,135 @@ func TestWALPredatingCheckpoint(t *testing.T) {
 	defer e2.Close()
 	if _, err := Open(e2, opts); err == nil || !strings.Contains(err.Error(), "jumps") {
 		t.Fatalf("Open over a mismatched WAL: err = %v, want a sequence-jump complaint", err)
+	}
+}
+
+// windowOracle is what a WAL record must hold for batch b, computed by a
+// linear scan rather than trajectory.Window: per trajectory, the samples
+// inside the batch's time window plus the last one before it (unless one
+// lands on its start) and the first one after it (unless one lands on its
+// end); trajectories with none of those are left out.
+func windowOracle(b *trajectory.DB) *trajectory.DB {
+	lo, hi := b.Domain.Start, b.Domain.End()
+	out := &trajectory.DB{Domain: b.Domain, Trajs: []trajectory.Trajectory{}}
+	for _, tr := range b.Trajs {
+		first, last := -1, -1
+		onLo, onHi := false, false
+		for k, s := range tr.Samples {
+			if s.Time >= lo && s.Time <= hi {
+				if first < 0 {
+					first = k
+				}
+				last = k
+				onLo = onLo || s.Time == lo
+				onHi = onHi || s.Time == hi
+			}
+		}
+		if first < 0 { // nothing inside: a bracketing pair, or the lifespan misses
+			k := 0
+			for k < len(tr.Samples) && tr.Samples[k].Time < lo {
+				k++
+			}
+			if k == 0 || k == len(tr.Samples) {
+				continue
+			}
+			first, last = k, k-1
+		}
+		if !onLo && first > 0 {
+			first--
+		}
+		if !onHi && last < len(tr.Samples)-1 {
+			last++
+		}
+		samples := append([]trajectory.Sample(nil), tr.Samples[first:last+1]...)
+		out.Trajs = append(out.Trajs, trajectory.Trajectory{ID: tr.ID, Samples: samples})
+	}
+	return out
+}
+
+// TestWALRecordsHoldBatchWindows crashes an ingest of a multi-day stream
+// cut by DB.Batches — every view shares the whole trajectories — and
+// checks that each WAL record holds only its batch window's samples, not
+// the history before it, that the restored engine still finds exactly
+// core.Discover's gatherings, and that re-encoding a decoded record
+// reproduces it byte for byte (so a member's logged copy of a forward
+// equals the forward).
+func TestWALRecordsHoldBatchWindows(t *testing.T) {
+	cfg := gen.Default()
+	cfg.NumTaxis, cfg.TicksPerDay, cfg.Days, cfg.Seed = 200, 96, 2, 3
+	db := gen.Generate(cfg)
+	batches := db.Batches(12)
+	disc, err := core.Discover(db, testPipeline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gatheringSigs(disc.AllGatherings())
+	if len(want) == 0 {
+		t.Fatal("core.Discover found no gatherings; parity would be vacuous")
+	}
+
+	dir := t.TempDir()
+	opts := Options{CheckpointPath: filepath.Join(dir, "ckpt"), WALPath: filepath.Join(dir, "wal")}
+	e1 := newEngine(t)
+	m1, err := Open(e1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, m1, e1, batches, 0, len(batches))
+	e1.Close() // crash: no checkpoint, everything lives in the WAL
+
+	// The log is its header plus one frame per batch holding exactly the
+	// oracle's samples.
+	wantSize, historySamples, windowSamples := int64(8), 0, 0
+	for _, b := range batches {
+		wantSize += 8 + 32
+		for _, tr := range windowOracle(b).Trajs {
+			wantSize += 12 + 24*int64(len(tr.Samples))
+			windowSamples += len(tr.Samples)
+		}
+		for _, tr := range b.Trajs {
+			historySamples += len(tr.Samples)
+		}
+	}
+	if fi, err := os.Stat(opts.WALPath); err != nil || fi.Size() != wantSize {
+		t.Fatalf("WAL is %v bytes (err %v), want %d for the batch windows alone", fi.Size(), err, wantSize)
+	}
+	if windowSamples*4 > historySamples {
+		t.Fatalf("windows hold %d samples against %d in the shared views; the stream is too short to tell them apart",
+			windowSamples, historySamples)
+	}
+	n, err := wal.Replay(opts.WALPath, func(seq uint64, got *trajectory.DB) error {
+		if exp := windowOracle(batches[seq]); !reflect.DeepEqual(got, exp) {
+			t.Errorf("record %d holds %d trajectories, want the %d of its window", seq, len(got.Trajs), len(exp.Trajs))
+		}
+		return nil
+	})
+	if err != nil || n != len(batches) {
+		t.Fatalf("WAL replayed %d records (err %v), want %d", n, err, len(batches))
+	}
+
+	e2 := newEngine(t)
+	defer e2.Close()
+	m2, err := Open(e2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2.NextSeq() != uint64(len(batches)) {
+		t.Fatalf("recovered NextSeq = %d, want %d", m2.NextSeq(), len(batches))
+	}
+	sameSigs(t, sigs(e2), want, "restored from window-only records")
+	if err := m2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, b := range batches {
+		enc := wal.EncodePayload(nil, uint64(i), b)
+		seq, dec, err := wal.DecodePayload(enc)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if re := wal.EncodePayload(nil, seq, dec); !bytes.Equal(re, enc) {
+			t.Fatalf("batch %d: re-encoding its decoded record changes %d bytes to %d", i, len(enc), len(re))
+		}
 	}
 }

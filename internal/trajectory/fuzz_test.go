@@ -42,17 +42,23 @@ func FuzzReadCSV(f *testing.F) {
 }
 
 // FuzzLocationAt asserts interpolation never panics and never extrapolates
-// beyond the lifespan, for arbitrary sample layouts.
+// beyond the lifespan, for arbitrary sample layouts, and that the samples
+// Window keeps for [lo, hi] answer LocationAt there exactly as the whole
+// trajectory does.
 func FuzzLocationAt(f *testing.F) {
-	f.Add(0.0, 1.0, 2.0, 0.5)
-	f.Add(5.0, 5.0, 5.0, 5.0) // duplicate timestamps
-	f.Add(-1.0, 0.0, 1.0, 2.0)
-	f.Fuzz(func(t *testing.T, t0, t1, t2, q float64) {
+	f.Add(0.0, 1.0, 2.0, 0.5, 0.0, 1.0)
+	f.Add(5.0, 5.0, 5.0, 5.0, 5.0, 6.0) // duplicate timestamps on lo
+	f.Add(-1.0, 0.0, 1.0, 2.0, -3.0, -2.0)
+	f.Add(0.0, 3.0, 3.0, 3.0, 1.0, 3.0) // duplicate timestamps on hi
+	f.Fuzz(func(t *testing.T, t0, t1, t2, q, lo, hi float64) {
 		tr := Trajectory{ID: 0}
 		for _, tm := range []float64{t0, t1, t2} {
 			tr.Samples = append(tr.Samples, Sample{Time: tm})
 		}
 		tr.SortSamples()
+		for i := range tr.Samples {
+			tr.Samples[i].P.X = float64(i) // tell duplicate timestamps apart
+		}
 		p, ok := tr.LocationAt(q)
 		start, end, _ := tr.Lifespan()
 		if ok && (q < start || q > end) {
@@ -61,6 +67,15 @@ func FuzzLocationAt(f *testing.F) {
 		if !ok && q >= start && q <= end && !anyNaN(t0, t1, t2, q) {
 			t.Fatalf("refused interpolation inside lifespan at %v", q)
 		}
+		w := tr.Window(lo, hi)
+		if anyNaN(t0, t1, t2, q, lo, hi) || lo > hi {
+			return
+		}
+		probes := []float64{lo, hi}
+		if q >= lo && q <= hi {
+			probes = append(probes, q)
+		}
+		checkWindow(t, &tr, lo, hi, w, probes)
 	})
 }
 

@@ -95,6 +95,51 @@ func (tr *Trajectory) LocationAt(t float64) (geo.Point, bool) {
 	return a.P.Lerp(b.P, (t-a.Time)/span), true
 }
 
+// Window returns the samples LocationAt reads for times in [lo, hi]: every
+// sample inside the interval plus the two that bracket it — the last one
+// before lo unless a sample lands on lo, and the first one after hi unless
+// a sample lands on hi — clamped to the lifespan. It is a subslice of
+// Samples, not a copy. Interpolation reads only the two samples around t,
+// so for every t in [lo, hi] a trajectory holding just the window answers
+// LocationAt(t) exactly as the whole one does, ok=false included. Window
+// is nil when the lifespan misses [lo, hi].
+func (tr *Trajectory) Window(lo, hi float64) []Sample {
+	s := tr.Samples
+	n := len(s)
+	if n == 0 || !(lo <= hi) || s[n-1].Time < lo || s[0].Time > hi {
+		return nil
+	}
+	i := searchSamples(s, lo, false)
+	if i > 0 && (i == n || s[i].Time > lo) {
+		i--
+	}
+	j := searchSamples(s, hi, true)
+	if j < n && (j == 0 || s[j-1].Time < hi) {
+		j++
+	}
+	if i >= j {
+		return nil
+	}
+	return s[i:j]
+}
+
+// searchSamples returns the index of the first sample with Time >= t, or
+// with Time > t when past is set; len(s) when there is none. Open-coded
+// like LocationAt's search, so the WAL encoder that calls Window stays
+// allocation-free.
+func searchSamples(s []Sample, t float64, past bool) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid].Time < t || (past && s[mid].Time == t) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Simplify returns a copy of the trajectory keeping only the vertices
 // retained by Douglas–Peucker with tolerance eps (in metres). This is the
 // pre-filtering step borrowed from CuTS [9].

@@ -339,3 +339,102 @@ func TestInterpolationIsPiecewiseLinear(t *testing.T) {
 		}
 	}
 }
+
+// checkWindow asserts that w, tr.Window(lo, hi), is a subslice of tr's
+// samples that is nil exactly when the lifespan misses [lo, hi], keeps
+// every sample inside [lo, hi] and at most one bracketing sample on each
+// side, is its own window, and answers LocationAt at each probe in
+// [lo, hi] (and at every sample time there) exactly as tr does.
+func checkWindow(t *testing.T, tr *Trajectory, lo, hi float64, w []Sample, probes []float64) {
+	t.Helper()
+	start, end, alive := tr.Lifespan()
+	if misses := !alive || end < lo || start > hi; misses != (w == nil) {
+		t.Fatalf("Window(%v, %v) = %v over lifespan [%v, %v]", lo, hi, w, start, end)
+	}
+	if w == nil {
+		return
+	}
+	off := -1
+	for k := range tr.Samples {
+		if &tr.Samples[k] == &w[0] {
+			off = k
+		}
+	}
+	if off < 0 || off+len(w) > len(tr.Samples) {
+		t.Fatalf("Window(%v, %v) is not a subslice of the samples", lo, hi)
+	}
+	inside, before, after := 0, 0, 0
+	for _, s := range tr.Samples {
+		if s.Time >= lo && s.Time <= hi {
+			inside++
+		}
+	}
+	for _, s := range w {
+		switch {
+		case s.Time < lo:
+			before++
+		case s.Time > hi:
+			after++
+		default:
+			inside--
+		}
+	}
+	if inside != 0 || before > 1 || after > 1 {
+		t.Fatalf("Window(%v, %v) = %v: misses %d inside samples, %d before, %d after",
+			lo, hi, w, inside, before, after)
+	}
+	cut := Trajectory{ID: tr.ID, Samples: w}
+	if again := cut.Window(lo, hi); len(again) != len(w) {
+		t.Fatalf("Window(%v, %v) of the window keeps %d of %d samples", lo, hi, len(again), len(w))
+	}
+	for _, s := range tr.Samples {
+		if s.Time >= lo && s.Time <= hi {
+			probes = append(probes, s.Time)
+		}
+	}
+	for _, q := range probes {
+		if q < lo || q > hi {
+			continue
+		}
+		p1, ok1 := tr.LocationAt(q)
+		p2, ok2 := cut.LocationAt(q)
+		if ok1 != ok2 || !samePoint(p1, p2) {
+			t.Fatalf("LocationAt(%v): whole %v %v, window [%v, %v] %v %v (samples %v, window %v)",
+				q, p1, ok1, lo, hi, p2, ok2, tr.Samples, w)
+		}
+	}
+}
+
+func samePoint(a, b geo.Point) bool {
+	same := func(x, y float64) bool { return x == y || (x != x && y != y) }
+	return same(a.X, b.X) && same(a.Y, b.Y)
+}
+
+// TestWindowMatchesWhole checks Window against the whole trajectory over
+// random sample layouts — irregular gaps, duplicate timestamps, samples on
+// ticks — and random tick windows the lifespan starts or ends inside,
+// before or after.
+func TestWindowMatchesWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 5000; iter++ {
+		tr := Trajectory{ID: ObjectID(iter)}
+		tm := float64(rng.Intn(30)) - 5
+		for n := rng.Intn(12); n > 0; n-- {
+			tr.Samples = append(tr.Samples, s(tm, rng.Float64()*100, rng.Float64()*100))
+			switch rng.Intn(4) {
+			case 0: // duplicate timestamp
+			case 1: // on the next tick
+				tm = math.Floor(tm) + 1
+			default: // irregular gap
+				tm += rng.Float64() * 4
+			}
+		}
+		lo := float64(rng.Intn(25))
+		hi := lo + float64(rng.Intn(8))
+		probes := []float64{lo, hi}
+		for k := 0; k < 8; k++ {
+			probes = append(probes, lo+rng.Float64()*(hi-lo), lo+float64(rng.Intn(int(hi-lo)+1)))
+		}
+		checkWindow(t, &tr, lo, hi, tr.Window(lo, hi), probes)
+	}
+}

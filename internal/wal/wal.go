@@ -12,6 +12,14 @@
 //	         | uint32 ntrajs | per trajectory:
 //	           uint64 id | uint32 nsamples | per sample: time, x, y float64 bits
 //
+// A record holds, per trajectory, only the batch window's samples plus the
+// two bracketing samples (trajectory.Window over the domain's first and
+// last tick), and skips trajectories absent from the window. That is exact
+// because interpolation reads only those samples, so a replayed batch
+// builds the same snapshots as the live one, while a record costs the
+// batch, not the history behind it. Logs written before the cut hold whole
+// trajectories in the same format and replay unchanged.
+//
 // All integers are little-endian. The length/CRC frame makes a torn tail
 // — the half-written record of the write that crashed — detectable:
 // Replay stops at the first frame that does not check out and reports the
@@ -161,25 +169,35 @@ func (w *Writer) Append(seq uint64, db *trajectory.DB) error {
 
 // EncodePayload appends the wire encoding of one (sequence, batch) record
 // to buf and returns it. The format is the WAL record payload — uint64 seq,
-// the batch domain, then each trajectory — and is shared with the cluster
-// forwarding data plane (internal/cluster/rpc), so a forwarded batch and a
-// logged batch are byte-identical and either side can decode the other.
+// the batch domain, then each trajectory's window samples (see the package
+// doc) — and is shared with the cluster forwarding data plane
+// (internal/cluster/rpc), so a forwarded batch and a logged batch are
+// byte-identical and either side can decode the other.
 func EncodePayload(buf []byte, seq uint64, db *trajectory.DB) []byte {
+	lo, hi := db.Domain.Start, db.Domain.End()
 	buf = putUint64(buf, seq)
 	buf = putFloat(buf, db.Domain.Start)
 	buf = putFloat(buf, db.Domain.Step)
 	buf = putUint32(buf, uint32(db.Domain.N))
-	buf = putUint32(buf, uint32(len(db.Trajs)))
+	at := len(buf)
+	buf = putUint32(buf, 0) // trajectory count, patched below
+	ntr := 0
 	for i := range db.Trajs {
 		tr := &db.Trajs[i]
+		w := tr.Window(lo, hi)
+		if len(w) == 0 {
+			continue
+		}
+		ntr++
 		buf = putUint64(buf, uint64(tr.ID))
-		buf = putUint32(buf, uint32(len(tr.Samples)))
-		for _, s := range tr.Samples {
+		buf = putUint32(buf, uint32(len(w)))
+		for _, s := range w {
 			buf = putFloat(buf, s.Time)
 			buf = putFloat(buf, s.P.X)
 			buf = putFloat(buf, s.P.Y)
 		}
 	}
+	binary.LittleEndian.PutUint32(buf[at:], uint32(ntr))
 	return buf
 }
 
@@ -285,7 +303,16 @@ func scan(path string, fn func(seq uint64, db *trajectory.DB) error) (valid int6
 	return at, n, nil
 }
 
-// decode unmarshals one record payload.
+// Byte sizes of the encoded parts, which bound what a count may claim.
+const (
+	trajHeaderSize = 12 // uint64 id + uint32 nsamples
+	sampleSize     = 24 // time, x, y float64 bits
+)
+
+// decode unmarshals one record payload. It also decodes peer-supplied
+// forwards, so every count is checked against the bytes left to back it
+// before anything is allocated: decoding allocates at most a small
+// constant times len(p).
 func decode(p []byte) (uint64, *trajectory.DB, error) {
 	r := reader{p: p}
 	seq := r.uint64()
@@ -294,20 +321,29 @@ func decode(p []byte) (uint64, *trajectory.DB, error) {
 	db.Domain.Step = r.float()
 	db.Domain.N = int(r.uint32())
 	ntr := int(r.uint32())
-	if r.bad || ntr < 0 || ntr > len(p) {
+	if r.bad || ntr < 0 || ntr > len(r.p)/trajHeaderSize {
 		return 0, nil, fmt.Errorf("%w: record shape", ErrCorrupt)
+	}
+	if d := db.Domain; math.IsNaN(d.Start) || math.IsInf(d.Start, 0) ||
+		!(d.Step > 0) || math.IsInf(d.Step, 1) || d.N < 0 {
+		return 0, nil, fmt.Errorf("%w: record domain %+v", ErrCorrupt, d)
 	}
 	db.Trajs = make([]trajectory.Trajectory, 0, ntr)
 	for i := 0; i < ntr; i++ {
 		id := trajectory.ObjectID(r.uint64())
 		ns := int(r.uint32())
-		if r.bad || ns < 0 || ns > len(p) {
+		if r.bad || ns < 0 || ns > len(r.p)/sampleSize {
 			return 0, nil, fmt.Errorf("%w: record shape", ErrCorrupt)
 		}
 		samples := make([]trajectory.Sample, ns)
+		prev := math.Inf(-1)
 		for j := range samples {
 			samples[j].Time = r.float()
 			samples[j].P = geo.Point{X: r.float(), Y: r.float()}
+			if !(prev <= samples[j].Time) {
+				return 0, nil, fmt.Errorf("%w: object %d: samples out of time order", ErrCorrupt, id)
+			}
+			prev = samples[j].Time
 		}
 		db.Trajs = append(db.Trajs, trajectory.Trajectory{ID: id, Samples: samples})
 	}
