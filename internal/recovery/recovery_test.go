@@ -398,8 +398,12 @@ func TestWALRecordsHoldBatchWindows(t *testing.T) {
 			historySamples += len(tr.Samples)
 		}
 	}
-	if fi, err := os.Stat(opts.WALPath); err != nil || fi.Size() != wantSize {
-		t.Fatalf("WAL is %v bytes (err %v), want %d for the batch windows alone", fi.Size(), err, wantSize)
+	fi, err := os.Stat(opts.WALPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != wantSize {
+		t.Fatalf("WAL is %d bytes, want %d for the batch windows alone", fi.Size(), wantSize)
 	}
 	if windowSamples*4 > historySamples {
 		t.Fatalf("windows hold %d samples against %d in the shared views; the stream is too short to tell them apart",
